@@ -78,8 +78,9 @@ int main() {
   std::printf("=== Batched power iteration: SpMM over SELL-8, aggregate "
               "queries/s by batch width (scale=%.3f) ===\n\n", scale);
 
-  // Same DBLP-scale regime as bench_spmv_kernel so the two artifacts are
-  // comparable: ~32k papers, 5 citations each.
+  // DBLP-scale regime: ~32k papers, 5 citations each. ComputeBatch runs
+  // a one-query batch through Compute, so the B=1 rows are the
+  // single-vector fused kernel's throughput.
   datasets::DblpGeneratorConfig config =
       datasets::DblpGeneratorConfig::Tiny(papers, /*seed=*/77);
   config.num_authors = papers / 2 + 100;

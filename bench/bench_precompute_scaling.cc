@@ -1,13 +1,17 @@
 // Thread-sweep for the parallel RankCache build: per-term ObjectRank
 // vectors are independent (the combination of Section 6's precomputation
 // strategy is linear in them), so the offline build should scale with
-// worker threads while serializing byte-identically to the sequential
-// build. Reports wall time, speedup vs 1 thread, iteration counts, and
-// per-term p50/p95 for each thread count.
+// worker threads while its ORXC2 container stays byte-identical to the
+// sequential build's. Reports wall time, speedup vs 1 thread, iteration
+// counts, and per-term p50/p95 for each thread count.
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -15,7 +19,27 @@
 #include "common/strings.h"
 #include "common/table.h"
 #include "core/rank_cache.h"
+#include "io/snapshot_io.h"
 #include "text/query.h"
+
+namespace {
+
+// The cache's ORXC2 container bytes (written to $TMPDIR, then removed),
+// or an empty string if the write fails.
+std::string ContainerBytes(const orx::core::RankCache& cache) {
+  const char* tmpdir = std::getenv("TMPDIR");
+  const std::string path = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
+                           "/bench_precompute_scaling_" +
+                           std::to_string(getpid()) + ".orxc2";
+  if (!orx::io::WriteRankCacheContainer(cache, path).ok()) return {};
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return bytes;
+}
+
+}  // namespace
 
 int main() {
   using namespace orx;
@@ -76,9 +100,9 @@ int main() {
   core::RankCache reference = core::RankCache::BuildForTerms(
       dblp.dataset.authority(), dblp.dataset.corpus(), rates, terms, options,
       &base_stats);
-  std::stringstream reference_bytes;
-  if (!reference.Serialize(reference_bytes).ok()) {
-    std::printf("reference serialization failed\n");
+  const std::string reference_bytes = ContainerBytes(reference);
+  if (reference_bytes.empty()) {
+    std::printf("reference container write failed\n");
     return 1;
   }
   const double base_seconds = base_stats.wall_seconds;
@@ -96,12 +120,12 @@ int main() {
     core::RankCache cache = core::RankCache::BuildForTerms(
         dblp.dataset.authority(), dblp.dataset.corpus(), rates, terms,
         options, &stats);
-    std::stringstream bytes;
-    if (!cache.Serialize(bytes).ok()) {
-      std::printf("serialization failed at %d threads\n", threads);
+    const std::string bytes = ContainerBytes(cache);
+    if (bytes.empty()) {
+      std::printf("container write failed at %d threads\n", threads);
       return 1;
     }
-    const bool identical = bytes.str() == reference_bytes.str();
+    const bool identical = bytes == reference_bytes;
     records.push_back(record_point(threads, stats));
     table.AddRow({std::to_string(threads),
                   FormatDouble(stats.wall_seconds, 2),
@@ -123,7 +147,7 @@ int main() {
                        bench::JsonArray(records));
   std::printf("Each term's power iteration is sequential; threads only "
               "change which worker ranks which term, never the arithmetic, "
-              "so the serialized cache must be byte-identical at every "
+              "so the ORXC2 container must be byte-identical at every "
               "thread count. Speedup tracks physical cores (the per-term "
               "pull loops are memory-bound).\n");
   return 0;

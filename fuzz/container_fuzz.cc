@@ -1,16 +1,21 @@
 // Fuzz target for the mmap container loaders (io/container.h +
-// io/snapshot_io.h, "ORXD2"/"ORXC2" formats). These face arbitrary
-// on-disk bytes through OpenMappedDataset / OpenMappedRankCache, and the
-// attack surface is different from the streamed deserializers: hostile
-// section offsets/sizes/counts must be rejected by bounds arithmetic
-// before any typed span is formed, because a bad span is an out-of-bounds
-// *read through the mapping*, not a short stream. The harness materializes
-// the input as a memfd (the loaders only speak paths) and asserts:
+// io/snapshot_io.h, "ORXD2"/"ORXC2" formats) — the only binary dataset
+// and rank-cache formats. Hostile section offsets/sizes/counts must be
+// rejected by bounds arithmetic before any typed span is formed, because
+// a bad span is an out-of-bounds *read through the mapping*. The harness
+// materializes the input as a memfd (the loaders only speak paths) and
+// asserts:
 //  * no crash / sanitizer report on any input;
 //  * anything the deep-validating open accepts also passes the structural
 //    validator cross-checks (trap otherwise);
 //  * the fast path (deep_validate=false) accepts a superset of what the
-//    deep path accepts — deep validation only ever tightens.
+//    deep path accepts — deep validation only ever tightens;
+//  * every accepted rank cache is structurally sound: a
+//    ValidateInvariants failure naming a dense score-vector length or an
+//    empty term traps (attach must have refused it), while value-level
+//    violations (NaN/negative masses or scores, unordered head scores
+//    from hostile float bytes) are reachable on the fast path and merely
+//    exercised through Query, which must degrade, never crash.
 
 #include <unistd.h>
 
@@ -105,8 +110,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     auto shallow = orx::io::OpenMappedRankCache(path, fast);
     if (deep.ok() && !shallow.ok()) __builtin_trap();
     if (shallow.ok()) {
-      // Value-level garbage (NaN scores) is reachable on the fast path;
-      // Query must degrade to a Status, never crash.
+      // The structural messages only; "head scores are not descending"
+      // is value-level and must not match.
+      const orx::Status valid = shallow->ValidateInvariants();
+      if (valid.message().find("scores, want num_nodes") !=
+              std::string::npos ||
+          valid.message().find("empty term") != std::string::npos) {
+        __builtin_trap();
+      }
       orx::text::QueryVector query(orx::text::ParseQuery("olap data cube"));
       orx::IgnoreError(shallow->Query(query));
     }

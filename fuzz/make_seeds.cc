@@ -1,14 +1,14 @@
-// Regenerates the binary seed corpora under fuzz/corpus/: the "ORXD"
-// dataset seed and the "ORXC" rank-cache seed are opaque bytes, so they
-// are produced by the real serializers from the Figure 1 dataset rather
-// than hand-maintained. Usage:
+// Regenerates the binary seed corpora under fuzz/corpus/: the ORXD2
+// dataset and ORXC2 rank-cache containers and the ORXN frames are opaque
+// bytes, so they are produced by the real writers from the Figure 1
+// dataset rather than hand-maintained. Usage:
 //
 //   make_fuzz_seeds <corpus-root>   # e.g. make_fuzz_seeds fuzz/corpus
 //
-// writes <root>/dataset_io/figure1.orxd and
-// <root>/rank_cache/figure1.orxc. Rerun after a format version bump and
-// commit the refreshed files (the text seeds — XML, TSV, queries — are
-// edited directly).
+// writes <root>/container/*.orxd2|*.orxc2, <root>/net_frame/*.bin and
+// <root>/mutation/*.bin. Rerun after a format version bump and commit the
+// refreshed files (the text seeds — XML, TSV, queries — are edited
+// directly).
 
 #include <algorithm>
 #include <cstdio>
@@ -23,7 +23,6 @@
 #include "datasets/dblp_generator.h"
 #include "datasets/figure1.h"
 #include "graph/transfer_rates.h"
-#include "io/dataset_io.h"
 #include "io/snapshot_io.h"
 #include "net/frame.h"
 
@@ -44,37 +43,29 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::filesystem::path root(argv[1]);
-  std::filesystem::create_directories(root / "dataset_io");
-  std::filesystem::create_directories(root / "rank_cache");
 
+  // Container seeds ("ORXD2"/"ORXC2"): valid containers from the Figure 1
+  // dataset, so the container fuzzer's mutations start from inputs that
+  // pass every structural check.
   orx::datasets::Figure1Dataset fig = orx::datasets::MakeFigure1Dataset();
-  ORX_CHECK_OK(orx::io::SaveDataset(fig.dataset,
-                                    (root / "dataset_io" / "figure1.orxd")
-                                        .string()));
-
   const orx::graph::TransferRates rates =
       orx::datasets::DblpGroundTruthRates(fig.dataset.schema(), fig.types);
   orx::core::RankCache cache = orx::core::RankCache::BuildForTerms(
       fig.dataset.authority(), fig.dataset.corpus(), rates,
       {"olap", "data", "cube"}, orx::core::RankCache::Options{});
-  ORX_CHECK_OK(cache.Save((root / "rank_cache" / "figure1.orxc").string()));
-
-  // Mmap-container seeds ("ORXD2"/"ORXC2"): valid containers from the
-  // same dataset, so the container fuzzer's mutations start from inputs
-  // that pass every structural check.
   std::filesystem::create_directories(root / "container");
   ORX_CHECK_OK(orx::io::WriteDatasetContainer(
       fig.dataset, rates, (root / "container" / "figure1.orxd2").string()));
   ORX_CHECK_OK(orx::io::WriteRankCacheContainer(
       cache, (root / "container" / "figure1.orxc2").string()));
 
-  // Compressed rank-cache seeds: a Compress() over a generated DBLP so
+  // Compressed rank-cache seed: a Compress() over a generated DBLP so
   // the seed actually carries quantized-tail sections (head + u16 tail +
-  // drop bound), giving the fuzzers a foothold on the compressed decode
-  // path (hostile quantization scales, tail-mass overflow) in both the
-  // stream and the container format. The Figure 1 graph is too small for
-  // compression to ever win — the fixed section overhead exceeds the
-  // dense vectors — so this seed comes from a 200-paper synthetic DBLP.
+  // drop bound), giving the fuzzer a foothold on the compressed decode
+  // path (hostile quantization scales, tail-mass overflow). The Figure 1
+  // graph is too small for compression to ever win — the fixed section
+  // overhead exceeds the dense vectors — so this seed comes from a
+  // 200-paper synthetic DBLP.
   const orx::datasets::DblpDataset gen = orx::datasets::GenerateDblp(
       orx::datasets::DblpGeneratorConfig::Tiny(200, 1));
   const orx::graph::TransferRates gen_rates =
@@ -102,8 +93,6 @@ int main(int argc, char** argv) {
       compressed.Compress(squeeze);
   ORX_CHECK_MSG(squeezed.terms_compressed > 0,
                 "compressed seed carries no compressed terms");
-  ORX_CHECK_OK(compressed.Save(
-      (root / "rank_cache" / "dblp_compressed.orxc").string()));
   ORX_CHECK_OK(orx::io::WriteRankCacheContainer(
       compressed,
       (root / "container" / "dblp_compressed.orxc2").string()));

@@ -80,21 +80,4 @@ Status ByteReader::ReadString(std::string* s, uint64_t limit,
   return Status::OK();
 }
 
-Status ByteReader::ReadFloatArray(std::vector<float>* out, size_t count,
-                                  const char* what) {
-  static_assert(sizeof(float) == 4);
-  out->clear();
-  size_t remaining = count;
-  while (remaining > 0) {
-    const size_t step = std::min(remaining, kChunkElements);
-    const size_t old_size = out->size();
-    out->resize(old_size + step);
-    ORX_RETURN_IF_ERROR(ReadBytes(
-        reinterpret_cast<char*>(out->data() + old_size), step * sizeof(float),
-        what));
-    remaining -= step;
-  }
-  return Status::OK();
-}
-
 }  // namespace orx

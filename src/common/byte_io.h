@@ -4,24 +4,23 @@
 #include <cstdint>
 #include <istream>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 
 namespace orx {
 
 /// Little-endian primitive reader over an std::istream for the binary
-/// (de)serializers (io/dataset_io, core/rank_cache). Two jobs beyond
-/// plain stream reads, both aimed at untrusted input:
+/// decoders: the container meta blobs (io/snapshot_io) and the ORXN
+/// frame payloads (net/frame). Two jobs beyond plain stream reads, both
+/// aimed at untrusted input:
 ///
 ///  * every read tracks the byte offset consumed so far, and every error
-///    is kDataLoss naming that offset — "truncated score vector at byte
+///    is kDataLoss naming that offset — "truncated edge role at byte
 ///    1 032" instead of "truncated stream";
-///  * length-prefixed reads (ReadString, ReadFloatArray) grow their
-///    destination in bounded chunks as bytes actually arrive, so a
-///    corrupt or hostile length field can never drive one huge eager
-///    allocation before the stream runs dry, and the count * element-size
-///    arithmetic cannot overflow.
+///  * length-prefixed reads (ReadString) grow their destination in
+///    bounded chunks as bytes actually arrive, so a corrupt or hostile
+///    length field can never drive one huge eager allocation before the
+///    stream runs dry.
 ///
 /// The reader owns no state beyond the offset; interleaving it with
 /// direct stream reads would desynchronize offset() and is unsupported.
@@ -45,11 +44,6 @@ class ByteReader {
   /// kDataLoss ("implausible <what> length L at byte N") — limits are
   /// per-field sanity bounds, not stream positions.
   Status ReadString(std::string* s, uint64_t limit, const char* what);
-
-  /// Reads exactly `count` little-endian floats into `*out` (replacing
-  /// its contents), growing in bounded chunks.
-  Status ReadFloatArray(std::vector<float>* out, size_t count,
-                        const char* what);
 
  private:
   Status Truncated(const char* what) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 
 #include "common/check.h"
 #include "common/mutex.h"
@@ -534,73 +533,33 @@ void RunFusedBatch(const graph::AuthorityGraph& graph,
 }
 
 // ---------------------------------------------------------------------
-// Pre-fused kernels, kept verbatim: kSequentialPush is the equivalence
-// reference, kLegacy the old-vs-new benchmark baseline.
-
-// One pull-based update pass over the node range [begin, end): gathers
-// each node's incoming flow.
-void PullRange(const graph::AuthorityGraph& graph,
-               const std::vector<double>& alpha, double damping,
-               const std::vector<double>& cur, std::vector<double>& next,
-               size_t begin, size_t end) {
-  for (size_t v = begin; v < end; ++v) {
-    double sum = 0.0;
-    for (const graph::AuthorityEdge& e :
-         graph.InEdges(static_cast<graph::NodeId>(v))) {
-      // e.target is the *source* u of the edge u -> v.
-      sum += cur[e.target] * alpha[e.rate_index] *
-             static_cast<double>(e.inv_out_deg);
-    }
-    next[v] = damping * sum;
-  }
-}
-
-void RunLegacy(const graph::AuthorityGraph& graph,
-               const graph::TransferRates& rates, const BaseSet& base,
-               const ObjectRankOptions& options, bool force_sequential,
-               std::vector<double>& cur, std::vector<double>& next,
-               ObjectRankResult& result) {
+// The pre-fused sequential push loop, kept verbatim as the equivalence
+// reference (PowerKernel::kSequentialPush).
+void RunSequentialPush(const graph::AuthorityGraph& graph,
+                       const graph::TransferRates& rates, const BaseSet& base,
+                       const ObjectRankOptions& options,
+                       std::vector<double>& cur, std::vector<double>& next,
+                       ObjectRankResult& result) {
   const size_t n = graph.num_nodes();
   const std::vector<double>& alpha = rates.slots();
   const double d = options.damping;
   const double jump = 1.0 - d;
-  const int threads =
-      force_sequential
-          ? 1
-          : std::max(1, std::min<int>(options.num_threads,
-                                      static_cast<int>(n / 1024) + 1));
 
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     if (options.cancel && options.cancel()) {
       result.cancelled = true;
       break;
     }
-    if (threads == 1) {
-      // Sequential push: cheaper than pulling when many scores are zero
-      // (typical early iterations of a cold start).
-      std::fill(next.begin(), next.end(), 0.0);
-      for (size_t u = 0; u < n; ++u) {
-        const double ru = cur[u];
-        if (ru == 0.0) continue;
-        const double dru = d * ru;
-        for (const graph::AuthorityEdge& e :
-             graph.OutEdges(static_cast<graph::NodeId>(u))) {
-          next[e.target] +=
-              dru * alpha[e.rate_index] * static_cast<double>(e.inv_out_deg);
-        }
+    std::fill(next.begin(), next.end(), 0.0);
+    for (size_t u = 0; u < n; ++u) {
+      const double ru = cur[u];
+      if (ru == 0.0) continue;
+      const double dru = d * ru;
+      for (const graph::AuthorityEdge& e :
+           graph.OutEdges(static_cast<graph::NodeId>(u))) {
+        next[e.target] +=
+            dru * alpha[e.rate_index] * static_cast<double>(e.inv_out_deg);
       }
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<size_t>(threads));
-      const size_t chunk = (n + threads - 1) / threads;
-      for (int t = 0; t < threads; ++t) {
-        const size_t begin = t * chunk;
-        const size_t end = std::min(n, begin + chunk);
-        if (begin >= end) break;
-        pool.emplace_back(PullRange, std::cref(graph), std::cref(alpha), d,
-                          std::cref(cur), std::ref(next), begin, end);
-      }
-      for (std::thread& worker : pool) worker.join();
     }
     for (const auto& [node, w] : base.entries) next[node] += jump * w;
 
@@ -640,12 +599,7 @@ ObjectRankResult ObjectRankEngine::Compute(
                result);
       break;
     case PowerKernel::kSequentialPush:
-      RunLegacy(*graph_, rates, base, options, /*force_sequential=*/true,
-                cur, next, result);
-      break;
-    case PowerKernel::kLegacy:
-      RunLegacy(*graph_, rates, base, options, /*force_sequential=*/false,
-                cur, next, result);
+      RunSequentialPush(*graph_, rates, base, options, cur, next, result);
       break;
   }
   return result;
@@ -657,7 +611,7 @@ std::vector<ObjectRankResult> ObjectRankEngine::ComputeBatch(
   std::vector<ObjectRankResult> results(queries.size());
   if (queries.empty()) return results;
   if (options.kernel != PowerKernel::kFused || queries.size() == 1) {
-    // The reference kernels have no block form, and a single fused lane
+    // The reference kernel has no block form, and a single fused lane
     // has nothing to share (the single-vector kernel also skips the
     // block layout's copies): run the lanes one by one with each lane's
     // hook chained onto the batch hook. Per-lane results are

@@ -29,10 +29,6 @@ enum class PowerKernel {
   /// The pre-fused sequential push loop, ignoring num_threads. Kept as
   /// the reference the equivalence suite compares every kernel against.
   kSequentialPush,
-  /// The pre-fused implementation exactly as it shipped: per-iteration
-  /// std::thread spawn, per-edge rate resolution, node-count-only thread
-  /// clamp. Kept as the baseline bench_spmv_kernel measures against.
-  kLegacy,
 };
 
 /// Parameters of the ObjectRank2 power iteration (Equation 4).
@@ -57,8 +53,8 @@ struct ObjectRankOptions {
   /// overhead. <= 1 = sequential.
   int num_threads = 1;
 
-  /// Inner kernel; see PowerKernel. The non-default kernels exist for
-  /// the equivalence suite and the old-vs-new benchmark.
+  /// Inner kernel; see PowerKernel. The non-default kernel exists for
+  /// the equivalence suite.
   PowerKernel kernel = PowerKernel::kFused;
 
   /// Cooperative cancellation hook, checked once before each power

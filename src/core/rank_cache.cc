@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <limits>
-#include <type_traits>
 #include <unordered_set>
 
-#include "common/byte_io.h"
 #include "common/check.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -273,8 +269,12 @@ StatusOr<RankCache> RankCache::FromParts(
   size_t dense_index = 0;
   size_t desc_index = 0;
   for (size_t t = 0; t < num_terms; ++t) {
-    if (term_offsets[t] > term_offsets[t + 1]) {
-      return DataLossError("rank cache term offsets are not monotonic");
+    // Checked per term before the term is read: the front/back check
+    // above does not keep a middle offset inside the heap.
+    if (term_offsets[t] > term_offsets[t + 1] ||
+        term_offsets[t + 1] > term_heap.size()) {
+      return DataLossError("rank cache term offsets are not monotonic "
+                           "within the heap");
     }
     std::string term(term_heap.data() + term_offsets[t],
                      static_cast<size_t>(term_offsets[t + 1] -
@@ -324,7 +324,7 @@ StatusOr<RankCache> RankCache::FromParts(
   return cache;
 }
 
-RankCache::PackedEntries RankCache::PackEntries() const {
+StatusOr<RankCache::PackedEntries> RankCache::PackEntries() const {
   PackedEntries out;
   const std::vector<std::string> terms = Terms();
   const bool any_compressed = num_compressed_terms() > 0;
@@ -334,6 +334,12 @@ RankCache::PackedEntries RankCache::PackEntries() const {
   if (any_compressed) out.kinds.reserve(terms.size());
   for (const std::string& term : terms) {
     const Entry& entry = entries_.at(term);
+    if (!entry.compressed && entry.scores.size() != num_nodes_) {
+      return InternalError(
+          "rank cache entry '" + term + "' has " +
+          std::to_string(entry.scores.size()) + " scores, expected " +
+          std::to_string(num_nodes_));
+    }
     out.heap += term;
     out.offsets.push_back(out.heap.size());
     out.masses.push_back(entry.mass);
@@ -754,253 +760,6 @@ StatusOr<RankCache::QueryResult> RankCache::Query(
   return result;
 }
 
-namespace {
-
-constexpr char kCacheMagic[4] = {'O', 'R', 'X', 'C'};
-/// Version 2: dense float vectors only. Version 3 adds a per-entry kind
-/// byte and the compressed head+tail representation; Serialize writes 2
-/// whenever no entry is compressed, so all-dense caches stay
-/// byte-identical to pre-compression builds and old readers still load
-/// them.
-constexpr uint32_t kCacheVersion = 2;
-constexpr uint32_t kCacheVersionCompressed = 3;
-constexpr uint64_t kCacheSanityLimit = 1ull << 27;
-// A term is a normalized keyword; anything beyond this is corruption.
-constexpr uint64_t kTermLimit = 1ull << 16;
-
-void PutU32(std::ostream& out, uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  out.write(buf, 4);
-}
-
-void PutDouble(std::ostream& out, double v) {
-  static_assert(sizeof(double) == 8);
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.write(buf, 8);
-}
-
-template <typename T>
-void PutPodArray(std::ostream& out, std::span<const T> values) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(values.data()),
-            static_cast<std::streamsize>(values.size() * sizeof(T)));
-}
-
-/// Reads `count` raw little-endian PODs, growing in bounded chunks so a
-/// truncated stream fails early instead of committing count * sizeof(T)
-/// bytes up front on the corrupt file's say-so (same discipline as
-/// ByteReader::ReadFloatArray).
-template <typename T>
-Status ReadPodArray(ByteReader& reader, std::vector<T>* out, size_t count,
-                    const char* what) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  constexpr size_t kChunk = 1 << 16;
-  out->clear();
-  while (out->size() < count) {
-    const size_t n = std::min(kChunk, count - out->size());
-    const size_t old = out->size();
-    out->resize(old + n);
-    ORX_RETURN_IF_ERROR(reader.ReadBytes(
-        reinterpret_cast<char*>(out->data() + old), n * sizeof(T), what));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status RankCache::Serialize(std::ostream& out) const {
-  const bool compressed = num_compressed_terms() > 0;
-  out.write(kCacheMagic, 4);
-  PutU32(out, compressed ? kCacheVersionCompressed : kCacheVersion);
-  PutU32(out, static_cast<uint32_t>(num_nodes_));
-  PutU32(out, static_cast<uint32_t>(rates_fingerprint_ & 0xFFFFFFFFull));
-  PutU32(out, static_cast<uint32_t>(rates_fingerprint_ >> 32));
-  PutDouble(out, bm25_.k1);
-  PutDouble(out, bm25_.b);
-  PutDouble(out, bm25_.k3);
-  PutU32(out, static_cast<uint32_t>(entries_.size()));
-  // Deterministic order: sorted terms.
-  std::vector<const std::string*> terms;
-  terms.reserve(entries_.size());
-  for (const auto& [term, entry] : entries_) terms.push_back(&term);
-  std::sort(terms.begin(), terms.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  for (const std::string* term : terms) {
-    const Entry& entry = entries_.at(*term);
-    // Deserialize reads exactly num_nodes_ floats per dense entry;
-    // writing a vector of any other length would silently shift every
-    // subsequent entry in the stream.
-    if (!entry.compressed && entry.scores.size() != num_nodes_) {
-      return InternalError(
-          "rank cache entry '" + *term + "' has " +
-          std::to_string(entry.scores.size()) + " scores, expected " +
-          std::to_string(num_nodes_));
-    }
-    PutU32(out, static_cast<uint32_t>(term->size()));
-    out.write(term->data(), static_cast<std::streamsize>(term->size()));
-    if (compressed) {
-      const char kind = entry.compressed ? 1 : 0;
-      out.write(&kind, 1);
-    }
-    PutDouble(out, entry.mass);
-    if (!entry.compressed) {
-      out.write(reinterpret_cast<const char*>(entry.scores.data()),
-                static_cast<std::streamsize>(entry.scores.size() *
-                                             sizeof(float)));
-      continue;
-    }
-    PutU32(out, static_cast<uint32_t>(entry.head_nodes.size()));
-    PutU32(out, static_cast<uint32_t>(entry.tail_nodes.size()));
-    PutDouble(out, entry.tail_scale);
-    PutDouble(out, entry.drop_bound);
-    PutDouble(out, entry.dropped_mass);
-    PutPodArray<uint32_t>(out, entry.head_nodes);
-    PutPodArray<float>(out, entry.head_scores);
-    PutPodArray<uint32_t>(out, entry.tail_nodes);
-    PutPodArray<uint16_t>(out, entry.tail_quants);
-  }
-  if (!out) return InternalError("rank cache write failed");
-  return Status::OK();
-}
-
-StatusOr<RankCache> RankCache::Deserialize(std::istream& in) {
-  ByteReader reader(in);
-  char magic[4];
-  ORX_RETURN_IF_ERROR(reader.ReadBytes(magic, 4, "rank cache magic"));
-  if (std::memcmp(magic, kCacheMagic, 4) != 0) {
-    return DataLossError("not an ORX rank cache (bad magic)");
-  }
-  uint32_t version = 0;
-  ORX_RETURN_IF_ERROR(reader.ReadU32(&version, "rank cache version"));
-  if (version != kCacheVersion && version != kCacheVersionCompressed) {
-    return DataLossError("unsupported rank cache version " +
-                         std::to_string(version));
-  }
-  const bool has_kinds = version == kCacheVersionCompressed;
-  RankCache cache;
-  uint32_t num_nodes = 0;
-  ORX_RETURN_IF_ERROR(reader.ReadU32(&num_nodes, "rank cache node count"));
-  if (num_nodes > kCacheSanityLimit) {
-    return DataLossError("implausible rank cache node count " +
-                         std::to_string(num_nodes) + " at byte " +
-                         std::to_string(reader.offset() - 4));
-  }
-  cache.num_nodes_ = num_nodes;
-  uint32_t fp_lo = 0, fp_hi = 0;
-  ORX_RETURN_IF_ERROR(reader.ReadU32(&fp_lo, "rates fingerprint"));
-  ORX_RETURN_IF_ERROR(reader.ReadU32(&fp_hi, "rates fingerprint"));
-  cache.rates_fingerprint_ = (static_cast<uint64_t>(fp_hi) << 32) | fp_lo;
-  ORX_RETURN_IF_ERROR(reader.ReadDouble(&cache.bm25_.k1, "BM25 k1"));
-  ORX_RETURN_IF_ERROR(reader.ReadDouble(&cache.bm25_.b, "BM25 b"));
-  ORX_RETURN_IF_ERROR(reader.ReadDouble(&cache.bm25_.k3, "BM25 k3"));
-  uint32_t num_entries = 0;
-  ORX_RETURN_IF_ERROR(reader.ReadU32(&num_entries, "rank cache entry count"));
-  if (num_entries > kCacheSanityLimit) {
-    return DataLossError("implausible rank cache entry count " +
-                         std::to_string(num_entries) + " at byte " +
-                         std::to_string(reader.offset() - 4));
-  }
-  for (uint32_t i = 0; i < num_entries; ++i) {
-    std::string term;
-    ORX_RETURN_IF_ERROR(reader.ReadString(&term, kTermLimit, "term"));
-    if (term.empty()) {
-      // Serialize never writes one (terms come from the tokenizer, which
-      // drops empties), and an empty key would shadow real lookups.
-      return DataLossError("empty rank cache term at byte " +
-                           std::to_string(reader.offset() - 4));
-    }
-    char kind = 0;
-    if (has_kinds) {
-      ORX_RETURN_IF_ERROR(reader.ReadBytes(&kind, 1, "entry kind"));
-      if (kind != 0 && kind != 1) {
-        return DataLossError("unknown rank cache entry kind " +
-                             std::to_string(static_cast<int>(kind)) +
-                             " at byte " + std::to_string(reader.offset() - 1));
-      }
-    }
-    Entry entry;
-    ORX_RETURN_IF_ERROR(reader.ReadDouble(&entry.mass, "entry mass"));
-    if (kind == 0) {
-      // ReadFloatArray grows the vector chunk-by-chunk, so a truncated
-      // stream fails early instead of committing num_nodes * 4 bytes up
-      // front on the corrupt file's say-so.
-      std::vector<float> scores;
-      ORX_RETURN_IF_ERROR(
-          reader.ReadFloatArray(&scores, num_nodes, "score vector"));
-      entry.scores = std::move(scores);
-    } else {
-      uint32_t head_count = 0, tail_count = 0;
-      ORX_RETURN_IF_ERROR(reader.ReadU32(&head_count, "head count"));
-      ORX_RETURN_IF_ERROR(reader.ReadU32(&tail_count, "tail count"));
-      // A compressed entry cannot store more nodes than the cache has;
-      // anything larger is corruption, caught before any allocation.
-      if (head_count > num_nodes || tail_count > num_nodes) {
-        return DataLossError("compressed entry claims more nodes than the "
-                             "cache holds, at byte " +
-                             std::to_string(reader.offset() - 8));
-      }
-      ORX_RETURN_IF_ERROR(reader.ReadDouble(&entry.tail_scale, "tail scale"));
-      ORX_RETURN_IF_ERROR(reader.ReadDouble(&entry.drop_bound, "drop bound"));
-      ORX_RETURN_IF_ERROR(
-          reader.ReadDouble(&entry.dropped_mass, "dropped mass"));
-      std::vector<uint32_t> head_nodes;
-      std::vector<float> head_scores;
-      std::vector<uint32_t> tail_nodes;
-      std::vector<uint16_t> tail_quants;
-      ORX_RETURN_IF_ERROR(
-          ReadPodArray(reader, &head_nodes, head_count, "head nodes"));
-      ORX_RETURN_IF_ERROR(
-          reader.ReadFloatArray(&head_scores, head_count, "head scores"));
-      ORX_RETURN_IF_ERROR(
-          ReadPodArray(reader, &tail_nodes, tail_count, "tail nodes"));
-      ORX_RETURN_IF_ERROR(
-          ReadPodArray(reader, &tail_quants, tail_count, "tail quants"));
-      // Node-id bounds are checked at load time because Query scatters
-      // straight through these arrays (same shallow obligation as
-      // FromParts).
-      for (const uint32_t v : head_nodes) {
-        if (v >= num_nodes) {
-          return DataLossError("compressed head node id out of range at "
-                               "byte " + std::to_string(reader.offset()));
-        }
-      }
-      for (const uint32_t v : tail_nodes) {
-        if (v >= num_nodes) {
-          return DataLossError("compressed tail node id out of range at "
-                               "byte " + std::to_string(reader.offset()));
-        }
-      }
-      entry.compressed = true;
-      entry.head_nodes = std::move(head_nodes);
-      entry.head_scores = std::move(head_scores);
-      entry.tail_nodes = std::move(tail_nodes);
-      entry.tail_quants = std::move(tail_quants);
-    }
-    if (!cache.entries_.emplace(std::move(term), std::move(entry)).second) {
-      return DataLossError("duplicate rank cache term at byte " +
-                           std::to_string(reader.offset()));
-    }
-  }
-  return cache;
-}
-
-Status RankCache::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return NotFoundError("cannot open for writing: " + path);
-  ORX_RETURN_IF_ERROR(Serialize(out));
-  out.flush();
-  if (!out) return InternalError("flush failed: " + path);
-  return Status::OK();
-}
-
-StatusOr<RankCache> RankCache::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open rank cache: " + path);
-  return Deserialize(in);
-}
-
 Status RankCache::ValidateInvariants() const {
   for (const auto& [term, entry] : entries_) {
     if (term.empty()) {
@@ -1028,8 +787,8 @@ Status RankCache::ValidateInvariants() const {
       }
       continue;
     }
-    // Compressed-entry invariants: the value-level checks FromParts and
-    // Deserialize deliberately defer. Violating any of them breaks the
+    // Compressed-entry invariants: the value-level checks FromParts
+    // deliberately defers. Violating any of them breaks the
     // one-sided error accounting Query's error_bound relies on.
     if (!entry.scores.empty()) {
       return InternalError("invariant violation: compressed term '" + term +

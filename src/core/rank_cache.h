@@ -2,9 +2,7 @@
 #define ORX_CORE_RANK_CACHE_H_
 
 #include <cstdint>
-#include <istream>
 #include <memory>
-#include <ostream>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -55,8 +53,8 @@ class RankCache {
     /// Worker threads for the offline build. Per-term rank vectors are
     /// independent, so the build fans one power iteration per term out to
     /// a pool; entries are merged in term order, making the result (and
-    /// its serialization) byte-identical to the sequential build. 0 means
-    /// one thread per hardware core.
+    /// its ORXC2 container) byte-identical to the sequential build. 0
+    /// means one thread per hardware core.
     int build_threads = 1;
   };
 
@@ -186,10 +184,9 @@ class RankCache {
   static_assert(sizeof(PackedCompressedDesc) == 48);
 
   /// The entry table flattened for the ORXC2 container writer, in sorted
-  /// term order (the same deterministic order Serialize uses). `scores`
-  /// concatenates only the *dense* entries, in term order among them;
-  /// compressed entries land in the side arrays, indexed by one desc per
-  /// kinds[t] == 1 term (also in term order).
+  /// term order. `scores` concatenates only the *dense* entries, in term
+  /// order among them; compressed entries land in the side arrays,
+  /// indexed by one desc per kinds[t] == 1 term (also in term order).
   struct PackedEntries {
     std::vector<uint64_t> offsets;
     std::string heap;
@@ -204,7 +201,11 @@ class RankCache {
     std::vector<uint32_t> tail_nodes;
     std::vector<uint16_t> tail_quants;
   };
-  PackedEntries PackEntries() const;
+  /// Returns kInternal, naming the term, if a dense entry's score vector
+  /// length disagrees with num_nodes(): the attach path slices the
+  /// concatenated scores at fixed num_nodes() strides, so such an entry
+  /// would shift every later term's scores (or fail the attach).
+  StatusOr<PackedEntries> PackEntries() const;
 
   /// The compressed side arrays of FromParts, all empty for an all-dense
   /// (v1) container. When `kinds` is non-empty it has one byte per term
@@ -297,7 +298,7 @@ class RankCache {
     return entries_.count(term) > 0;
   }
 
-  /// Every cached term, sorted (the serialization order).
+  /// Every cached term, sorted (the ORXC2 container order).
   std::vector<std::string> Terms() const;
 
   /// True iff `term` is cached and some node flagged in `dirty` (indexed
@@ -337,20 +338,6 @@ class RankCache {
   /// Approximate in-memory footprint (the vectors dominate).
   size_t MemoryFootprintBytes() const;
 
-  /// Binary persistence — [BHP04] stores its per-keyword "ObjectRank
-  /// Index" on disk; so does ORX. The stream carries the BM25 parameters
-  /// so a loaded cache combines exactly like the one that was saved.
-  /// The caller is responsible for using the cache only with the graph
-  /// and rates it was built from (the file stores the node count as a
-  /// cheap consistency check). Serialize returns kInternal if any entry's
-  /// score vector disagrees with num_nodes() — the fixed-width format
-  /// cannot represent it, and writing it would corrupt every entry after
-  /// it.
-  Status Serialize(std::ostream& out) const;
-  static StatusOr<RankCache> Deserialize(std::istream& in);
-  Status Save(const std::string& path) const;
-  static StatusOr<RankCache> Load(const std::string& path);
-
   /// Deep structural check: every entry has a non-empty term, a finite
   /// non-negative mass, and — dense — exactly num_nodes() finite
   /// non-negative scores, or — compressed — a score-descending finite
@@ -359,8 +346,9 @@ class RankCache {
   /// (positive when the tail is non-empty), and finite non-negative
   /// drop bound / dropped mass. Returns a descriptive non-OK Status on
   /// the first violation — Query() on a cache that fails this check would
-  /// read or combine garbage. Called by the fuzz harnesses on every
-  /// deserialized cache and exposed through `orx_cli validate`.
+  /// read or combine garbage. Deep ORXC2 attach runs it, so
+  /// `orx_cli validate` and container_fuzz see it on every cache they
+  /// accept.
   Status ValidateInvariants() const;
 
  private:
@@ -368,9 +356,9 @@ class RankCache {
     /// Unnormalized IR mass Z_t of the term's base set.
     double mass = 0.0;
     /// r_t, stored as float (half the memory; combination runs in
-    /// double). Owned by builds/Deserialize; a borrowed slice of the
-    /// mmap-backed score matrix on the FromParts path. Empty when the
-    /// entry is compressed.
+    /// double). Owned by builds; a borrowed slice of the mmap-backed
+    /// score matrix on the FromParts path. Empty when the entry is
+    /// compressed.
     ArrayRef<float> scores;
 
     /// Compressed representation (docs/rank_cache.md): the top `head`
@@ -395,7 +383,7 @@ class RankCache {
     }
   };
 
-  /// Serialized byte size of one entry's score payload.
+  /// Byte size of one entry's score payload.
   static size_t EntryPayloadBytes(const Entry& entry);
   /// Dense float materialization of an entry (dropped scores become 0);
   /// the warm-start seed for incremental refreshes of compressed entries.

@@ -13,6 +13,21 @@ Dataset::Dataset(std::unique_ptr<graph::SchemaGraph> schema, std::string name)
   data_ = std::make_unique<graph::DataGraph>(*schema_);
 }
 
+Dataset::Dataset(std::string name, std::unique_ptr<graph::SchemaGraph> schema,
+                 std::unique_ptr<graph::DataGraph> data,
+                 std::unique_ptr<graph::AuthorityGraph> authority,
+                 std::unique_ptr<text::Corpus> corpus)
+    : name_(std::move(name)),
+      schema_(std::move(schema)),
+      data_(std::move(data)),
+      authority_(std::move(authority)),
+      corpus_(std::move(corpus)) {
+  ORX_CHECK(schema_ != nullptr && data_ != nullptr && authority_ != nullptr &&
+            corpus_ != nullptr);
+  ORX_CHECK_MSG(&data_->schema() == schema_.get(),
+                "data graph must use this dataset's schema");
+}
+
 void Dataset::Finalize(const text::CorpusOptions& corpus_options) {
   authority_ = std::make_unique<graph::AuthorityGraph>(
       graph::AuthorityGraph::Build(*data_));

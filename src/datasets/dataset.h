@@ -22,6 +22,14 @@ class Dataset {
   /// Takes ownership of a schema and creates an empty data graph over it.
   Dataset(std::unique_ptr<graph::SchemaGraph> schema, std::string name);
 
+  /// Wraps parts that are already built (the ORXD2 attach path,
+  /// io/snapshot_io.h). `data` must reference `*schema`, and `authority`
+  /// and `corpus` must index `data`. The result is finalized.
+  Dataset(std::string name, std::unique_ptr<graph::SchemaGraph> schema,
+          std::unique_ptr<graph::DataGraph> data,
+          std::unique_ptr<graph::AuthorityGraph> authority,
+          std::unique_ptr<text::Corpus> corpus);
+
   Dataset(Dataset&&) = default;
   Dataset& operator=(Dataset&&) = default;
   Dataset(const Dataset&) = delete;

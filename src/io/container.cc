@@ -1,5 +1,6 @@
 #include "io/container.h"
 
+#include <cstdio>
 #include <fstream>
 
 #include "common/check.h"
@@ -87,8 +88,13 @@ Status ContainerWriter::WriteTo(const std::string& path) const {
   header.toc_offset = toc_offset;
   header.endian = kEndianSentinel;
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return NotFoundError("cannot open for writing: " + path);
+  // Written beside `path` and renamed over it: a mapping of the old file
+  // (possibly the very source of these section views) keeps its inode,
+  // where truncating in place would fault it, and no reader ever sees a
+  // half-written container.
+  const std::string tmp_path = path + ".tmp";
+  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+  if (!out) return NotFoundError("cannot open for writing: " + tmp_path);
   out.write(reinterpret_cast<const char*>(&header), sizeof(header));
   size_t written = sizeof(header);
   for (size_t i = 0; i < sections_.size(); ++i) {
@@ -100,8 +106,11 @@ Status ContainerWriter::WriteTo(const std::string& path) const {
   WritePadding(out, toc_offset - written);
   out.write(reinterpret_cast<const char*>(toc.data()),
             static_cast<std::streamsize>(toc.size() * sizeof(SectionEntry)));
-  out.flush();
-  if (!out) return InternalError("container write failed: " + path);
+  out.close();
+  if (!out || std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    std::remove(tmp_path.c_str());
+    return InternalError("container write failed: " + path);
+  }
   return Status::OK();
 }
 

@@ -101,8 +101,9 @@ class ContainerWriter {
   /// Adds a section owning `bytes` (elem_size 1).
   void AddOwned(std::string_view name, std::string bytes);
 
-  /// Streams header + sections + TOC to `path` (truncating). O(total
-  /// payload) sequential writes.
+  /// Streams header + sections + TOC to `path`, replacing it atomically
+  /// (written to `path`.tmp, then renamed), so mappings of the old file
+  /// stay valid. O(total payload) sequential writes.
   Status WriteTo(const std::string& path) const;
 
  private:

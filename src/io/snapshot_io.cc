@@ -15,6 +15,9 @@ constexpr uint32_t kMetaVersion = 1;
 // are orders of magnitude smaller, anything beyond is corruption.
 constexpr uint64_t kNameLimit = 1ull << 12;
 constexpr uint64_t kTypeLimit = 1ull << 16;
+// Rank-cache node-count bound: Query sizes one double per node, so a
+// hostile count must fail here, before anything is allocated for it.
+constexpr uint64_t kRankCacheNodeLimit = 1ull << 27;
 
 void PutU32(std::string& out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
@@ -234,8 +237,6 @@ StatusOr<std::shared_ptr<MappedDataset>> OpenMappedDataset(
   if (!meta_bytes.ok()) return meta_bytes.status();
   auto meta = ParseDatasetMeta(*meta_bytes);
   if (!meta.ok()) return meta.status();
-  mapped->name_ = std::move(meta->name);
-  mapped->schema_ = std::move(meta->schema);
   mapped->rates_ = std::move(meta->rates);
 
 #define ORX_LOAD_SECTION(type, var, name)            \
@@ -272,36 +273,37 @@ StatusOr<std::shared_ptr<MappedDataset>> OpenMappedDataset(
     return DataLossError("section sizes disagree with the meta counts");
   }
 
-  auto data = graph::DataGraph::FromPacked(*mapped->schema_, node_types,
+  auto data = graph::DataGraph::FromPacked(*meta->schema, node_types,
                                            attr_offsets, attr_entries,
                                            text_heap, edges, keepalive);
   if (!data.ok()) return data.status();
-  mapped->data_ =
-      std::make_unique<graph::DataGraph>(std::move(*data));
+  const size_t num_nodes = data->num_nodes();
 
   auto authority = graph::AuthorityGraph::FromParts(
       out_offsets, out_edges, in_offsets, in_edges, keepalive);
   if (!authority.ok()) return authority.status();
-  if (authority->num_nodes() != mapped->data_->num_nodes()) {
+  if (authority->num_nodes() != num_nodes) {
     return DataLossError("authority CSR node count disagrees with the "
                          "data graph");
   }
-  mapped->authority_ =
-      std::make_unique<graph::AuthorityGraph>(std::move(*authority));
 
   auto corpus = text::Corpus::FromParts(
       meta->avdl, term_heap, term_offsets, doc_lengths, post_offsets,
       postings, dt_offsets, doc_terms, keepalive);
   if (!corpus.ok()) return corpus.status();
-  if (corpus->num_docs() != mapped->data_->num_nodes()) {
+  if (corpus->num_docs() != num_nodes) {
     return DataLossError("corpus document count disagrees with the data "
                          "graph");
   }
-  mapped->corpus_ = std::make_unique<text::Corpus>(std::move(*corpus));
+  mapped->dataset_.emplace(
+      std::move(meta->name), std::move(meta->schema),
+      std::make_unique<graph::DataGraph>(std::move(*data)),
+      std::make_unique<graph::AuthorityGraph>(std::move(*authority)),
+      std::make_unique<text::Corpus>(std::move(*corpus)));
 
   auto sell = graph::SellStructure::FromParts(
-      mapped->data_->num_nodes(), row_order, node_row, chunk_offsets,
-      sources, sources_row, keepalive);
+      num_nodes, row_order, node_row, chunk_offsets, sources, sources_row,
+      keepalive);
   if (!sell.ok()) return sell.status();
   mapped->structure_ =
       std::make_shared<const graph::SellStructure>(std::move(*sell));
@@ -314,14 +316,14 @@ StatusOr<std::shared_ptr<MappedDataset>> OpenMappedDataset(
 
   if (options.deep_validate) {
     ORX_RETURN_IF_ERROR(c.VerifyHashes());
-    ORX_RETURN_IF_ERROR(graph::ValidateDataEdges(*mapped->data_));
+    ORX_RETURN_IF_ERROR(graph::ValidateDataEdges(mapped->data()));
     ORX_RETURN_IF_ERROR(graph::ValidateInvariants(
-        *mapped->authority_, mapped->schema_->num_rate_slots()));
+        mapped->authority(), mapped->schema().num_rate_slots()));
     ORX_RETURN_IF_ERROR(graph::ValidateInvariants(*mapped->layout_));
     // Corpus bounds: every posting's document and every forward entry's
     // term must be in range, else BM25 scoring reads out of bounds.
-    const size_t n = mapped->corpus_->num_docs();
-    const size_t vocab = mapped->corpus_->vocab_size();
+    const size_t n = mapped->corpus().num_docs();
+    const size_t vocab = mapped->corpus().vocab_size();
     for (const text::Posting& p : postings) {
       if (p.doc >= n) {
         return DataLossError("corpus posting references document " +
@@ -403,7 +405,9 @@ std::string BuildRankCacheMeta(const core::RankCache& cache,
 
 Status WriteRankCacheContainer(const core::RankCache& cache,
                                const std::string& path) {
-  const core::RankCache::PackedEntries packed = cache.PackEntries();
+  auto packed_or = cache.PackEntries();
+  if (!packed_or.ok()) return packed_or.status();
+  const core::RankCache::PackedEntries& packed = *packed_or;
   const bool compressed = !packed.kinds.empty();
   ContainerWriter writer(kRankCacheMagic);
   writer.AddOwned("meta",
@@ -448,6 +452,10 @@ StatusOr<core::RankCache> OpenMappedRankCache(
   uint64_t num_nodes = 0, fingerprint = 0, num_terms = 0;
   text::Bm25Params bm25;
   ORX_RETURN_IF_ERROR(reader.ReadU64(&num_nodes, "node count"));
+  if (num_nodes > kRankCacheNodeLimit) {
+    return DataLossError("implausible rank cache node count " +
+                         std::to_string(num_nodes));
+  }
   ORX_RETURN_IF_ERROR(reader.ReadU64(&fingerprint, "rates fingerprint"));
   ORX_RETURN_IF_ERROR(reader.ReadDouble(&bm25.k1, "BM25 k1"));
   ORX_RETURN_IF_ERROR(reader.ReadDouble(&bm25.b, "BM25 b"));

@@ -2,6 +2,7 @@
 #define ORX_IO_SNAPSHOT_IO_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/rank_cache.h"
@@ -20,11 +21,12 @@ namespace orx::io {
 /// ORXD2: a complete serving dataset as one mmap-friendly container —
 /// data graph (packed attributes + text heap), authority CSR (both
 /// halves), SELL structure, fused weights for the serving rates, corpus
-/// CSR + term heap, and a meta blob (name, schema, rates, avdl). Where
-/// io/dataset_io.cc re-parses and re-derives every index on load
-/// (seconds at DBLPcomplete scale), an ORXD2 attach is a handful of
-/// shape checks over mmap'd arrays — milliseconds, independent of
-/// dataset size — and the page cache streams the rest on demand.
+/// CSR + term heap, and a meta blob (name, schema, rates, avdl). It is
+/// the only binary dataset format (the TSV of io/graph_tsv is for
+/// editing by hand): nothing is re-parsed or re-derived on load, so an
+/// attach is a handful of shape checks over mmap'd arrays —
+/// milliseconds, independent of dataset size — and the page cache
+/// streams the rest on demand.
 
 /// Writes `dataset` (finalized) with its serving `rates` to `path`.
 /// Builds the SELL structure + fused weights so the loader gets them for
@@ -52,7 +54,9 @@ struct MappedDatasetOptions {
 /// A dataset attached zero-copy to a mapped ORXD2 container. Owns the
 /// mapping plus the small rebuilt-owned pieces (schema, vocabulary);
 /// every large array in the graphs/corpus borrows file-backed storage.
-/// Immutable; share via shared_ptr (SnapshotFromMapped aliases it).
+/// The attached parts form an ordinary datasets::Dataset (dataset()), so
+/// code written against Dataset runs on a mapping unchanged. Immutable;
+/// share via shared_ptr (SnapshotFromMapped aliases it).
 class MappedDataset {
  private:
   /// Passkey: makes the public constructor callable only from
@@ -62,11 +66,17 @@ class MappedDataset {
  public:
   explicit MappedDataset(Private) {}
 
-  const std::string& name() const { return name_; }
-  const graph::SchemaGraph& schema() const { return *schema_; }
-  const graph::DataGraph& data() const { return *data_; }
-  const graph::AuthorityGraph& authority() const { return *authority_; }
-  const text::Corpus& corpus() const { return *corpus_; }
+  /// The attached parts; finalized. Alias it with
+  /// std::shared_ptr<const datasets::Dataset>(mapped, &mapped->dataset())
+  /// to keep the mapping alive.
+  const datasets::Dataset& dataset() const { return *dataset_; }
+  const std::string& name() const { return dataset_->name(); }
+  const graph::SchemaGraph& schema() const { return dataset_->schema(); }
+  const graph::DataGraph& data() const { return dataset_->data(); }
+  const graph::AuthorityGraph& authority() const {
+    return dataset_->authority();
+  }
+  const text::Corpus& corpus() const { return dataset_->corpus(); }
   const graph::TransferRates& rates() const { return rates_; }
   /// The mmap-backed fused layout for rates() (shared SELL structure).
   const std::shared_ptr<const graph::FusedLayout>& layout() const {
@@ -79,11 +89,9 @@ class MappedDataset {
       const std::string& path, const MappedDatasetOptions& options);
 
   MappedContainer container_;
-  std::string name_;
-  std::unique_ptr<graph::SchemaGraph> schema_;
-  std::unique_ptr<graph::DataGraph> data_;
-  std::unique_ptr<graph::AuthorityGraph> authority_;
-  std::unique_ptr<text::Corpus> corpus_;
+  /// Set once every part has attached; OpenMappedDataset never hands out
+  /// a MappedDataset without it.
+  std::optional<datasets::Dataset> dataset_;
   graph::TransferRates rates_;
   std::shared_ptr<const graph::SellStructure> structure_;
   std::shared_ptr<const graph::FusedLayout> layout_;
@@ -104,7 +112,11 @@ serve::ServeSnapshot SnapshotFromMapped(
 
 /// ORXC2: a precomputed RankCache as a container — term heap + offsets,
 /// per-term masses, and the dense terms x nodes float score matrix
-/// (the dominant payload, attached zero-copy).
+/// (the dominant payload, attached zero-copy), plus the compressed-entry
+/// sections when the cache holds any. It is the only on-disk rank-cache
+/// format. Returns kInternal, naming the term, if a dense entry's score
+/// vector length disagrees with num_nodes() (see
+/// RankCache::PackEntries); nothing is written then.
 Status WriteRankCacheContainer(const core::RankCache& cache,
                                const std::string& path);
 

@@ -27,7 +27,7 @@ constexpr uint64_t kAttributeLimit = 1u << 12;
 constexpr uint8_t kMaxWireTier = 3;
 
 // ByteReader is the hardened offset-tracking reader the binary
-// deserializers share; wrapping the payload in a stream reuses it
+// decoders share; wrapping the payload in a stream reuses it
 // verbatim (payloads are already bounded by kMaxPayload, so the copy
 // into the stream is bounded too).
 class PayloadReader {

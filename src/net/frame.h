@@ -13,8 +13,8 @@
 namespace orx::net {
 
 /// The ORX wire protocol: length-prefixed binary frames, little-endian
-/// throughout (the dataset serializer's conventions — see io/dataset_io
-/// and common/byte_io).
+/// throughout, decoded with the hardened reader in common/byte_io (the
+/// same one the container meta blobs use).
 ///
 /// Frame layout:
 ///   u32  magic        "ORXN" (0x4E58524F little-endian)

@@ -261,22 +261,20 @@ TEST(BatchKernelEquivalence, BatchWideCancelStopsEveryLane) {
   }
 }
 
-TEST(BatchKernelEquivalence, NonFusedKernelsFallBackPerLane) {
-  // kSequentialPush and kLegacy have no block form; ComputeBatch must
-  // still return exactly what per-lane Compute calls would.
+TEST(BatchKernelEquivalence, NonFusedKernelFallsBackPerLane) {
+  // kSequentialPush has no block form; ComputeBatch must still return
+  // exactly what per-lane Compute calls would.
   BatchCase c = MakeBatchCase(/*seed=*/36, /*papers=*/350, /*lanes=*/3);
   ObjectRankEngine engine(c.dblp.dataset.authority());
-  for (const PowerKernel kernel :
-       {PowerKernel::kSequentialPush, PowerKernel::kLegacy}) {
-    const ObjectRankOptions options = FixedWorkOptions(kernel, 2);
-    const auto batch =
-        engine.ComputeBatch(QueriesOver(c.bases), c.rates, options);
-    for (size_t i = 0; i < c.bases.size(); ++i) {
-      const auto single = engine.Compute(c.bases[i], c.rates, options);
-      EXPECT_EQ(batch[i].iterations, single.iterations);
-      ExpectBitIdentical(batch[i].scores, single.scores,
-                         "fallback lane " + std::to_string(i));
-    }
+  const ObjectRankOptions options =
+      FixedWorkOptions(PowerKernel::kSequentialPush, 2);
+  const auto batch =
+      engine.ComputeBatch(QueriesOver(c.bases), c.rates, options);
+  for (size_t i = 0; i < c.bases.size(); ++i) {
+    const auto single = engine.Compute(c.bases[i], c.rates, options);
+    EXPECT_EQ(batch[i].iterations, single.iterations);
+    ExpectBitIdentical(batch[i].scores, single.scores,
+                       "fallback lane " + std::to_string(i));
   }
 }
 

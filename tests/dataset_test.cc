@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "datasets/bio_schema.h"
 #include "datasets/dblp_generator.h"
 #include "datasets/dblp_schema.h"
 #include "graph/conformance.h"
@@ -107,6 +108,28 @@ TEST(DatasetResetTest, ResetDataClearsIndexes) {
   EXPECT_FALSE(dataset.finalized());
   dataset.Finalize();
   EXPECT_EQ(dataset.corpus().num_docs(), 2u);
+}
+
+TEST(SchemaHandleRecoveryTest, WrongSchemaIsNotFound) {
+  BioTypes bio_types;
+  auto bio_schema = MakeBioSchema(&bio_types);
+  EXPECT_EQ(DblpTypesFromSchema(*bio_schema).status().code(),
+            StatusCode::kNotFound);
+  DblpTypes dblp_types;
+  auto dblp_schema = MakeDblpSchema(&dblp_types);
+  EXPECT_EQ(BioTypesFromSchema(*dblp_schema).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(SchemaHandleRecoveryTest, RecoveredHandlesMatchOriginals) {
+  DblpTypes original;
+  auto schema = MakeDblpSchema(&original);
+  auto recovered = DblpTypesFromSchema(*schema);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered->paper, original.paper);
+  EXPECT_EQ(recovered->author, original.author);
+  EXPECT_EQ(recovered->cites, original.cites);
+  EXPECT_EQ(recovered->by, original.by);
 }
 
 }  // namespace

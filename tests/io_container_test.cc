@@ -5,9 +5,11 @@
 #include <string>
 
 #include "core/searcher.h"
+#include "datasets/bio_generator.h"
 #include "datasets/dblp_generator.h"
 #include "datasets/dblp_schema.h"
 #include "datasets/figure1.h"
+#include "graph/conformance.h"
 #include "io/container.h"
 #include "io/snapshot_io.h"
 #include "text/query.h"
@@ -71,6 +73,24 @@ void PutSection(std::string& bytes, int index, const SectionEntry& e) {
               &e, sizeof(e));
 }
 
+/// Overwrites `value`'s bytes at `at` bytes into section `name`'s payload.
+/// The section hash goes stale, so only the fast attach path (which
+/// skips hashes) reaches the loader checks behind it.
+template <typename T>
+void PatchSection(std::string& bytes, const char* name, size_t at, T value) {
+  const int index = FindSection(bytes, name);
+  ASSERT_GE(index, 0) << name;
+  const SectionEntry e = GetSection(bytes, index);
+  ASSERT_LE(at + sizeof(T), e.size) << name;
+  std::memcpy(bytes.data() + e.offset + at, &value, sizeof(T));
+}
+
+MappedDatasetOptions FastAttach() {
+  MappedDatasetOptions fast;
+  fast.deep_validate = false;
+  return fast;
+}
+
 /// A Figure 1 dataset written as an ORXD2 container.
 struct PackedFigure1 {
   datasets::Figure1Dataset fig;
@@ -129,6 +149,7 @@ TEST(MappedDatasetTest, RoundTripMatchesInMemoryDataset) {
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   const MappedDataset& m = **mapped;
   EXPECT_EQ(m.name(), dblp.dataset.name());
+  EXPECT_TRUE(m.dataset().finalized());
 
   const graph::DataGraph& a = dblp.dataset.data();
   const graph::DataGraph& b = m.data();
@@ -138,6 +159,16 @@ TEST(MappedDatasetTest, RoundTripMatchesInMemoryDataset) {
     EXPECT_EQ(a.NodeType(v), b.NodeType(v));
     ASSERT_EQ(a.Text(v), b.Text(v)) << "node " << v;
   }
+  for (size_t i = 0; i < a.edges().size(); ++i) {
+    ASSERT_EQ(a.edges()[i].from, b.edges()[i].from) << "edge " << i;
+    ASSERT_EQ(a.edges()[i].to, b.edges()[i].to) << "edge " << i;
+    ASSERT_EQ(a.edges()[i].type, b.edges()[i].type) << "edge " << i;
+  }
+  EXPECT_TRUE(graph::CheckConformance(b, m.schema()).ok());
+  // The schema handles are recoverable from the attached schema alone.
+  auto types = datasets::DblpTypesFromSchema(m.schema());
+  ASSERT_TRUE(types.ok());
+  EXPECT_EQ(types->cites, dblp.types.cites);
   ASSERT_EQ(m.corpus().vocab_size(), dblp.dataset.corpus().vocab_size());
   EXPECT_EQ(m.corpus().avdl(), dblp.dataset.corpus().avdl());
   ASSERT_EQ(m.rates().slots(), rates.slots());
@@ -182,6 +213,42 @@ TEST(MappedDatasetTest, SnapshotAliasesMappingAndSeedsWeightCache) {
   auto result = searcher.Search(query, snapshot.rates);
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->scores[p.fig.v7_data_cube], 0.083, 0.001);
+}
+
+TEST(MappedDatasetTest, ContainerWriteIsByteStable) {
+  PackedFigure1 p = MakePackedFigure1("stable.orxd2");
+  const std::string pristine = ReadFileBytes(p.path);
+  auto mapped = OpenMappedDataset(p.path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  // The attached parts are an ordinary Dataset, so they pack again —
+  // into the very same bytes, even over the file they are mapped from
+  // (the writer replaces it by rename; truncating in place would fault
+  // the mapping mid-write).
+  ASSERT_TRUE(WriteDatasetContainer((*mapped)->dataset(),
+                                    (*mapped)->rates(), p.path)
+                  .ok());
+  EXPECT_EQ(ReadFileBytes(p.path), pristine);
+  core::Searcher searcher((*mapped)->data(), (*mapped)->authority(),
+                          (*mapped)->corpus());
+  auto result = searcher.Search(text::QueryVector(text::ParseQuery("olap")),
+                                (*mapped)->rates());
+  ASSERT_TRUE(result.ok());
+  EXPECT_NEAR(result->scores[p.fig.v7_data_cube], 0.083, 0.001);
+}
+
+TEST(MappedDatasetTest, BioRoundTripRecoversSchemaHandles) {
+  datasets::BioDataset bio = datasets::GenerateBio(
+      datasets::BioGeneratorConfig::Tiny(/*pubs=*/200, /*seed=*/13));
+  const graph::TransferRates rates =
+      datasets::BioGroundTruthRates(bio.dataset.schema(), bio.types);
+  const std::string path = TempPath("bio.orxd2");
+  ASSERT_TRUE(WriteDatasetContainer(bio.dataset, rates, path).ok());
+  auto mapped = OpenMappedDataset(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ((*mapped)->data().num_nodes(), bio.dataset.data().num_nodes());
+  EXPECT_EQ((*mapped)->data().num_edges(), bio.dataset.data().num_edges());
+  EXPECT_TRUE(datasets::BioTypesFromSchema((*mapped)->schema()).ok());
+  EXPECT_EQ((*mapped)->rates().slots(), rates.slots());
 }
 
 TEST(MappedDatasetTest, MissingFileIsNotFound) {
@@ -319,6 +386,23 @@ TEST(MappedDatasetTest, RejectsHostileSectionEntries) {
   }
 }
 
+TEST(MappedDatasetTest, RejectsImplausibleMetaLengths) {
+  PackedFigure1 p = MakePackedFigure1("hostile_meta.orxd2");
+  std::string bytes = ReadFileBytes(p.path);
+  // Meta layout: u32 version, then the u32-length-prefixed name. An
+  // absurd length must fail as kDataLoss naming the field, not allocate.
+  PatchSection<uint32_t>(bytes, "meta", 4, 0xFFFFFFF0u);
+  WriteFileBytes(p.path, bytes);
+  auto fast = OpenMappedDataset(p.path, FastAttach());
+  ASSERT_FALSE(fast.ok());
+  EXPECT_EQ(fast.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(fast.status().message().find("implausible name length"),
+            std::string::npos)
+      << fast.status().message();
+  EXPECT_EQ(OpenMappedDataset(p.path).status().code(),
+            StatusCode::kDataLoss);
+}
+
 TEST(MappedDatasetTest, DeepValidationCatchesPayloadCorruption) {
   PackedFigure1 p = MakePackedFigure1("corrupt_payload.orxd2");
   std::string bytes = ReadFileBytes(p.path);
@@ -378,8 +462,12 @@ TEST(MappedRankCacheTest, RoundTripIsExact) {
   EXPECT_EQ(loaded->rates_fingerprint(), cache.rates_fingerprint());
   ASSERT_EQ(loaded->Terms(), cache.Terms());
   // Bit-exact: the packed representations must agree float for float.
-  const core::RankCache::PackedEntries a = cache.PackEntries();
-  const core::RankCache::PackedEntries b = loaded->PackEntries();
+  auto packed_a = cache.PackEntries();
+  auto packed_b = loaded->PackEntries();
+  ASSERT_TRUE(packed_a.ok());
+  ASSERT_TRUE(packed_b.ok());
+  const core::RankCache::PackedEntries& a = *packed_a;
+  const core::RankCache::PackedEntries& b = *packed_b;
   EXPECT_EQ(a.offsets, b.offsets);
   EXPECT_EQ(a.heap, b.heap);
   EXPECT_EQ(a.masses, b.masses);
@@ -404,6 +492,77 @@ TEST(MappedRankCacheTest, RejectsTruncationAndWrongMagic) {
   WriteFileBytes(path, bytes.substr(0, bytes.size() / 2));
   EXPECT_EQ(OpenMappedRankCache(path).status().code(),
             StatusCode::kDataLoss);
+}
+
+TEST(MappedRankCacheTest, RejectsHostileMetaAndTermTable) {
+  datasets::Figure1Dataset fig = datasets::MakeFigure1Dataset();
+  graph::TransferRates rates =
+      datasets::DblpGroundTruthRates(fig.dataset.schema(), fig.types);
+  core::RankCache cache =
+      core::RankCache::Build(fig.dataset.authority(), fig.dataset.corpus(),
+                             rates, core::RankCache::Options());
+  ASSERT_GE(cache.num_terms(), 2u);
+  const std::string path = TempPath("cache_hostile_meta.orxc2");
+  ASSERT_TRUE(WriteRankCacheContainer(cache, path).ok());
+  const std::string pristine = ReadFileBytes(path);
+  // Each forged file must fail the fast attach with kDataLoss whose
+  // message contains `want`; the deep attach also sees the stale hash.
+  auto expect_rejected = [&](const std::string& bytes, const char* want) {
+    WriteFileBytes(path, bytes);
+    auto fast = OpenMappedRankCache(path, FastAttach());
+    ASSERT_FALSE(fast.ok()) << want;
+    EXPECT_EQ(fast.status().code(), StatusCode::kDataLoss) << want;
+    EXPECT_NE(fast.status().message().find(want), std::string::npos)
+        << fast.status().message();
+    EXPECT_EQ(OpenMappedRankCache(path).status().code(),
+              StatusCode::kDataLoss)
+        << want;
+  };
+  // Meta layout: u32 version, u64 node count, u64 rates fingerprint,
+  // 3 x f64 BM25 parameters, u64 term count.
+  {
+    // Oversized node count: rejected before anything is sized by it.
+    std::string bytes = pristine;
+    PatchSection<uint64_t>(bytes, "meta", 4, ~uint64_t{0});
+    expect_rejected(bytes, "implausible rank cache node count");
+  }
+  {
+    // Term count far beyond the stored masses.
+    std::string bytes = pristine;
+    PatchSection<uint64_t>(bytes, "meta", 44, uint64_t{1} << 26);
+    expect_rejected(bytes, "term count");
+  }
+  {
+    // The last term offset runs past the term heap.
+    std::string bytes = pristine;
+    PatchSection<uint64_t>(bytes, "rc_offsets",
+                           cache.num_terms() * sizeof(uint64_t),
+                           uint64_t{1} << 40);
+    expect_rejected(bytes, "do not cover the heap");
+  }
+  {
+    // A middle term offset far past the heap, with the last one intact:
+    // the first term must not be read out of bounds.
+    std::string bytes = pristine;
+    PatchSection<uint64_t>(bytes, "rc_offsets", sizeof(uint64_t),
+                           uint64_t{1} << 40);
+    expect_rejected(bytes, "not monotonic within the heap");
+  }
+  {
+    // A zero-length first term: an empty key would shadow real lookups.
+    std::string bytes = pristine;
+    PatchSection<uint64_t>(bytes, "rc_offsets", sizeof(uint64_t), 0);
+    expect_rejected(bytes, "empty rank cache term");
+  }
+  // Truncation at every byte boundary is kDataLoss, never a crash (the
+  // suite runs under ASan in CI).
+  for (size_t cut = 0; cut < pristine.size(); ++cut) {
+    WriteFileBytes(path, pristine.substr(0, cut));
+    auto result = OpenMappedRankCache(path, FastAttach());
+    ASSERT_FALSE(result.ok()) << "cut at " << cut;
+    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+        << "cut at " << cut;
+  }
 }
 
 }  // namespace

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <fstream>
+#include <iterator>
 
 #include "core/searcher.h"
 #include "datasets/dblp_generator.h"
 #include "datasets/figure1.h"
+#include "io/snapshot_io.h"
 #include "text/query.h"
 
 namespace orx::core {
@@ -17,9 +19,30 @@ struct RankCacheTestPeer {
   static void AppendScore(RankCache& cache, const std::string& term) {
     cache.entries_.at(term).scores.mut().push_back(0.0f);
   }
+  static void DropScore(RankCache& cache, const std::string& term) {
+    cache.entries_.at(term).scores.mut().pop_back();
+  }
 };
 
 namespace {
+
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// The cache's ORXC2 container bytes.
+std::string ContainerBytes(const RankCache& cache, const std::string& name) {
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(io::WriteRankCacheContainer(cache, path).ok());
+  return ReadFileBytes(path);
+}
 
 class RankCacheTest : public ::testing::Test {
  protected:
@@ -145,16 +168,17 @@ TEST_F(RankCacheTest, UnknownTermsAreSkippedAtBuild) {
   EXPECT_FALSE(cache.Contains("zzznotaword"));
 }
 
-TEST_F(RankCacheTest, SerializationRoundTrip) {
+TEST_F(RankCacheTest, ContainerRoundTrip) {
   RankCache cache = RankCache::BuildForTerms(
       dblp_.dataset.authority(), dblp_.dataset.corpus(), rates_,
       {"data", "mining"}, options_);
-  std::stringstream stream;
-  ASSERT_TRUE(cache.Serialize(stream).ok());
-  auto loaded = RankCache::Deserialize(stream);
+  const std::string path = TempPath("orx_cache.orxc2");
+  ASSERT_TRUE(io::WriteRankCacheContainer(cache, path).ok());
+  auto loaded = io::OpenMappedRankCache(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->num_terms(), cache.num_terms());
   EXPECT_EQ(loaded->num_nodes(), cache.num_nodes());
+  EXPECT_TRUE(loaded->Contains("data"));
 
   text::QueryVector query(text::ParseQuery("data mining"));
   auto original = cache.Query(query);
@@ -163,107 +187,11 @@ TEST_F(RankCacheTest, SerializationRoundTrip) {
   ASSERT_TRUE(reloaded.ok());
   EXPECT_EQ(original->scores, reloaded->scores);
 
-  // Serialization is byte-stable.
-  std::stringstream second;
-  ASSERT_TRUE(loaded->Serialize(second).ok());
-  EXPECT_EQ(stream.str(), second.str());
-}
-
-TEST_F(RankCacheTest, DeserializeRejectsCorruptStreams) {
-  std::stringstream bad("JUNK");
-  EXPECT_EQ(RankCache::Deserialize(bad).status().code(),
-            StatusCode::kDataLoss);
-
-  RankCache cache = RankCache::BuildForTerms(
-      dblp_.dataset.authority(), dblp_.dataset.corpus(), rates_, {"data"},
-      options_);
-  std::stringstream stream;
-  ASSERT_TRUE(cache.Serialize(stream).ok());
-  const std::string bytes = stream.str();
-  std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_EQ(RankCache::Deserialize(truncated).status().code(),
-            StatusCode::kDataLoss);
-}
-
-TEST_F(RankCacheTest, CorruptedFixturesFailWithByteOffsets) {
-  RankCache cache = RankCache::BuildForTerms(
-      dblp_.dataset.authority(), dblp_.dataset.corpus(), rates_, {"data"},
-      options_);
-  std::stringstream stream;
-  ASSERT_TRUE(cache.Serialize(stream).ok());
-  const std::string bytes = stream.str();
-  // Layout: magic(4) version(4) num_nodes(4) fingerprint(8) bm25(24)
-  // num_entries(4) = 48-byte header, then per entry: u32 term length.
-  auto patch_u32 = [&](size_t at, uint32_t v) {
-    std::string copy = bytes;
-    for (int i = 0; i < 4; ++i) {
-      copy[at + static_cast<size_t>(i)] =
-          static_cast<char>((v >> (8 * i)) & 0xFF);
-    }
-    return copy;
-  };
-
-  {
-    // Oversized node count: rejected before any per-entry allocation.
-    std::stringstream s(patch_u32(8, 0xFFFFFFFFu));
-    auto result = RankCache::Deserialize(s);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
-    EXPECT_NE(result.status().message().find("implausible"),
-              std::string::npos);
-    EXPECT_NE(result.status().message().find("at byte 8"),
-              std::string::npos);
-  }
-  {
-    // Oversized term length field.
-    std::stringstream s(patch_u32(48, 0xFFFFFFFFu));
-    auto result = RankCache::Deserialize(s);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
-    EXPECT_NE(result.status().message().find("term"), std::string::npos);
-  }
-  {
-    // Entry count far beyond the stream: the chunked reads must fail at
-    // end-of-stream instead of allocating for the claimed entries.
-    std::stringstream s(patch_u32(44, 1u << 26));
-    auto result = RankCache::Deserialize(s);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
-  }
-  {
-    // Zero-length term (found by rank_cache_fuzz): Serialize never writes
-    // one, and an empty map key would shadow real lookups — reject it.
-    std::stringstream s(patch_u32(48, 0));
-    auto result = RankCache::Deserialize(s);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
-    EXPECT_NE(result.status().message().find("empty"), std::string::npos)
-        << result.status().message();
-  }
-  // Truncation at every byte boundary: always kDataLoss naming the
-  // offset where the stream ran dry, never a crash (the suite runs under
-  // ASan in CI).
-  for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    auto result = RankCache::Deserialize(truncated);
-    ASSERT_FALSE(result.ok()) << "cut at " << cut;
-    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
-        << "cut at " << cut;
-    EXPECT_NE(result.status().message().find("at byte"), std::string::npos)
-        << "cut at " << cut << ": " << result.status().message();
-  }
-}
-
-TEST_F(RankCacheTest, FileSaveAndLoad) {
-  RankCache cache = RankCache::BuildForTerms(
-      dblp_.dataset.authority(), dblp_.dataset.corpus(), rates_, {"data"},
-      options_);
-  const std::string path = ::testing::TempDir() + "/orx_cache.orxc";
-  ASSERT_TRUE(cache.Save(path).ok());
-  auto loaded = RankCache::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(loaded->Contains("data"));
-  EXPECT_EQ(RankCache::Load("/nonexistent/c.orxc").status().code(),
+  // The container is byte-stable: rewriting the attached cache
+  // reproduces the file.
+  EXPECT_EQ(ContainerBytes(*loaded, "orx_cache_again.orxc2"),
+            ReadFileBytes(path));
+  EXPECT_EQ(io::OpenMappedRankCache("/nonexistent/c.orxc2").status().code(),
             StatusCode::kNotFound);
 }
 
@@ -315,30 +243,52 @@ TEST_F(RankCacheTest, SearcherAnswersFromAttachedCache) {
   EXPECT_FALSE(detached->from_cache);
 }
 
-TEST_F(RankCacheTest, FingerprintSurvivesSerialization) {
+TEST_F(RankCacheTest, FingerprintAndBm25SurviveTheContainer) {
+  RankCache::Options options = options_;
+  options.bm25.k1 += 0.3;
+  options.bm25.b -= 0.1;
   RankCache cache = RankCache::BuildForTerms(
       dblp_.dataset.authority(), dblp_.dataset.corpus(), rates_, {"data"},
-      options_);
+      options);
   EXPECT_EQ(cache.rates_fingerprint(), rates_.Fingerprint());
-  std::stringstream stream;
-  ASSERT_TRUE(cache.Serialize(stream).ok());
-  auto loaded = RankCache::Deserialize(stream);
-  ASSERT_TRUE(loaded.ok());
+  const std::string path = TempPath("orx_cache_fingerprint.orxc2");
+  ASSERT_TRUE(io::WriteRankCacheContainer(cache, path).ok());
+  auto loaded = io::OpenMappedRankCache(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->rates_fingerprint(), cache.rates_fingerprint());
+  EXPECT_TRUE(loaded->MatchesBm25(options.bm25));
+  EXPECT_FALSE(loaded->MatchesBm25(options_.bm25));
 }
 
-TEST_F(RankCacheTest, SerializeRejectsLengthMismatchedEntry) {
-  // Regression: Serialize used to write entry.scores.size() floats while
-  // Deserialize reads exactly num_nodes — a mismatched entry silently
-  // shifted every subsequent entry in the stream. It must be an error.
-  RankCache cache = RankCache::BuildForTerms(
-      dblp_.dataset.authority(), dblp_.dataset.corpus(), rates_,
-      {"data", "mining"}, options_);
-  RankCacheTestPeer::AppendScore(cache, "data");
-  std::stringstream stream;
-  Status status = cache.Serialize(stream);
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_NE(status.message().find("data"), std::string::npos);
+TEST_F(RankCacheTest, ContainerWriteRejectsLengthMismatchedEntry) {
+  // Regression: the attach path slices the concatenated dense scores at
+  // num_nodes strides, so a mismatched entry either failed only at
+  // attach (one long entry) or — one long plus one short — attached
+  // cleanly with every later term's scores shifted. The writer must
+  // refuse both, naming the term.
+  {
+    RankCache cache = RankCache::BuildForTerms(
+        dblp_.dataset.authority(), dblp_.dataset.corpus(), rates_,
+        {"data", "mining"}, options_);
+    RankCacheTestPeer::AppendScore(cache, "data");
+    Status status = io::WriteRankCacheContainer(
+        cache, TempPath("orx_cache_long.orxc2"));
+    EXPECT_EQ(status.code(), StatusCode::kInternal);
+    EXPECT_NE(status.message().find("'data'"), std::string::npos)
+        << status.message();
+  }
+  {
+    RankCache cache = RankCache::BuildForTerms(
+        dblp_.dataset.authority(), dblp_.dataset.corpus(), rates_,
+        {"data", "mining", "query"}, options_);
+    RankCacheTestPeer::AppendScore(cache, "data");
+    RankCacheTestPeer::DropScore(cache, "mining");
+    Status status = io::WriteRankCacheContainer(
+        cache, TempPath("orx_cache_long_short.orxc2"));
+    EXPECT_EQ(status.code(), StatusCode::kInternal);
+    EXPECT_NE(status.message().find("'data'"), std::string::npos)
+        << status.message();
+  }
 }
 
 TEST_F(RankCacheTest, ZeroCoefficientTermIsReportedMissing) {
@@ -431,7 +381,7 @@ TEST_F(RankCacheTest, MatchesBm25ComparesAllParameters) {
   EXPECT_FALSE(cache.MatchesBm25(other));
 }
 
-TEST_F(RankCacheTest, ParallelBuildSerializesByteIdentically) {
+TEST_F(RankCacheTest, ParallelBuildPacksByteIdentically) {
   const std::vector<std::string> terms = {"data",    "mining", "query",
                                           "systems", "web",    "xml",
                                           "database", "search"};
@@ -449,10 +399,9 @@ TEST_F(RankCacheTest, ParallelBuildSerializesByteIdentically) {
                                          dblp_.dataset.corpus(), rates_,
                                          terms, parallel, &par_stats);
 
-  std::stringstream sa, sb;
-  ASSERT_TRUE(a.Serialize(sa).ok());
-  ASSERT_TRUE(b.Serialize(sb).ok());
-  EXPECT_EQ(sa.str(), sb.str());
+  const std::string bytes_a = ContainerBytes(a, "orx_cache_seq.orxc2");
+  ASSERT_FALSE(bytes_a.empty());
+  EXPECT_EQ(bytes_a, ContainerBytes(b, "orx_cache_par.orxc2"));
 
   EXPECT_EQ(seq_stats.threads, 1);
   EXPECT_EQ(par_stats.threads, 4);

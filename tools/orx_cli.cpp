@@ -9,14 +9,9 @@
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
-#include <string_view>
-#include <thread>
-#include <type_traits>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/rank_cache.h"
@@ -25,17 +20,12 @@
 #include "datasets/dblp_generator.h"
 #include "datasets/dblp_xml.h"
 #include "datasets/figure1.h"
-#include "datasets/zipf.h"
 #include "explain/explainer.h"
 #include "graph/validate.h"
 #include "io/container.h"
-#include "io/dataset_io.h"
 #include "io/graph_tsv.h"
 #include "io/snapshot_io.h"
-#include "net/net_util.h"
 #include "reformulate/reformulator.h"
-#include "serve/search_service.h"
-#include "serve/snapshot.h"
 #include "text/query.h"
 
 namespace {
@@ -47,7 +37,9 @@ constexpr const char* kHelp = R"(commands:
   generate dblp <papers>      generate a synthetic DBLP dataset
   generate bio <pubs>         generate a synthetic biological dataset
   parse <dblp.xml>            shred a DBLP XML file into a dataset
-  load <file> | save <file>   binary dataset persistence (.orxd)
+  load <f.orxd2>              attach a dataset container written by
+                              'pack' (deep-validated, as orx_serve does;
+                              adopts the rates packed with it)
   load-tsv <f> | save-tsv <f> human-editable TSV persistence
   dot <rank> [file]           Graphviz export of a result's explanation
   info                        dataset statistics
@@ -56,14 +48,12 @@ constexpr const char* kHelp = R"(commands:
   k <n>                       result-list size (default 10)
   precompute [threads [max-terms]]  build + attach per-keyword rank cache
   precompute off              detach the rank cache
-  serve-bench [clients [queries]] [--max_batch_size=N]
-              [--max_batch_delay_ms=X]   load-test a SearchService
   pack <f.orxd2> [f.orxc2]    write the dataset (and attached rank cache)
                               as zero-copy mmap containers (orx_serve
                               --dataset / --rank-cache attach them)
-  validate [file]             deep structural check of an .orxd dataset,
-                              .orxc rank cache, or .orxd2/.orxc2 mmap
-                              container (no file: current dataset)
+  validate [file]             deep structural check of an .orxd2 dataset
+                              or .orxc2 rank cache container (no file:
+                              current dataset)
   query <keywords...>         run ObjectRank2
   explain <rank>              explaining subgraph of a result
   feedback <rank> [rank...]   reformulate from relevant results
@@ -72,7 +62,9 @@ constexpr const char* kHelp = R"(commands:
 )";
 
 struct CliState {
-  std::unique_ptr<datasets::Dataset> dataset;
+  /// Owned by the shell for generated/parsed datasets, or aliasing the
+  /// mapping of a loaded ORXD2 container.
+  std::shared_ptr<const datasets::Dataset> dataset;
   std::optional<datasets::DblpTypes> dblp_types;
   std::optional<datasets::BioTypes> bio_types;
   std::unique_ptr<core::Searcher> searcher;
@@ -84,9 +76,16 @@ struct CliState {
   std::vector<double> last_scores;
   bool have_result = false;
 
-  void AdoptDataset(datasets::Dataset dataset_in) {
-    dataset = std::make_unique<datasets::Dataset>(std::move(dataset_in));
-    if (!dataset->finalized()) dataset->Finalize();
+  void AdoptDataset(datasets::Dataset owned) {
+    if (!owned.finalized()) owned.Finalize();
+    AdoptDataset(std::make_shared<const datasets::Dataset>(std::move(owned)));
+  }
+
+  void AdoptDataset(std::shared_ptr<const datasets::Dataset> adopted) {
+    // The searcher and the rank cache index the outgoing dataset.
+    searcher.reset();
+    rank_cache.reset();
+    dataset = std::move(adopted);
     dblp_types.reset();
     bio_types.reset();
     if (auto t = datasets::DblpTypesFromSchema(dataset->schema()); t.ok()) {
@@ -97,7 +96,6 @@ struct CliState {
     }
     searcher = std::make_unique<core::Searcher>(
         dataset->data(), dataset->authority(), dataset->corpus());
-    rank_cache.reset();  // a cache is only valid for the graph it was built on
     SetGroundTruthRates();
     search_options = core::SearchOptions{};
     last_top.clear();
@@ -390,110 +388,6 @@ void DoPrecompute(CliState& state, const std::string& args) {
               state.rank_cache->MemoryFootprintBytes() / (1024.0 * 1024.0));
 }
 
-void DoServeBench(CliState& state, const std::string& args) {
-  if (!state.Ready()) return;
-  auto tokens = SplitWhitespace(args);
-  int clients = 4;
-  int queries_per_client = 50;
-  size_t max_batch_size = 1;
-  double max_batch_delay_ms = 2.0;
-  bool ok = true;
-  size_t positional = 0;
-  for (const std::string& token : tokens) {
-    if (token.rfind("--max_batch_size=", 0) == 0) {
-      const int v = std::atoi(token.c_str() + 17);
-      if (v < 1) ok = false;
-      max_batch_size = static_cast<size_t>(std::max(v, 1));
-    } else if (token.rfind("--max_batch_delay_ms=", 0) == 0) {
-      max_batch_delay_ms = std::atof(token.c_str() + 21);
-      if (max_batch_delay_ms < 0.0) ok = false;
-    } else if (token.rfind("--", 0) == 0) {
-      ok = false;
-    } else if (positional == 0) {
-      clients = std::atoi(token.c_str());
-      ++positional;
-    } else if (positional == 1) {
-      queries_per_client = std::atoi(token.c_str());
-      ++positional;
-    } else {
-      ok = false;
-    }
-  }
-  if (!ok || clients < 1 || queries_per_client < 1) {
-    std::printf("usage: serve-bench [clients [queries-per-client]] "
-                "[--max_batch_size=N] [--max_batch_delay_ms=X]\n");
-    return;
-  }
-
-  // The snapshot aliases the CLI's dataset (and rank cache, if one is
-  // attached) without owning it: no-op deleters, and the service is
-  // destroyed before this function returns.
-  auto no_own = [](const auto* ptr) {
-    using T = std::remove_cv_t<std::remove_pointer_t<decltype(ptr)>>;
-    return std::shared_ptr<const T>(ptr, [](const T*) {});
-  };
-  auto snapshot = std::make_shared<serve::ServeSnapshot>();
-  snapshot->data = no_own(&state.dataset->data());
-  snapshot->authority = no_own(&state.dataset->authority());
-  snapshot->corpus = no_own(&state.dataset->corpus());
-  snapshot->rates = state.rates;
-  if (state.rank_cache != nullptr) {
-    snapshot->rank_cache = no_own(state.rank_cache.get());
-  }
-  snapshot->default_options = state.search_options;
-
-  // Zipf-distributed mix over the most frequent corpus terms, as in
-  // bench_serve_load.
-  const text::Corpus& corpus = state.dataset->corpus();
-  std::vector<std::pair<uint32_t, std::string>> by_df;
-  for (text::TermId t = 0; t < corpus.vocab_size(); ++t) {
-    by_df.emplace_back(corpus.Df(t), corpus.TermString(t));
-  }
-  std::sort(by_df.begin(), by_df.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  });
-  std::vector<text::QueryVector> mix;
-  for (size_t i = 0; i < by_df.size() && mix.size() < 64; ++i) {
-    mix.emplace_back(text::ParseQuery(by_df[i].second));
-  }
-  if (mix.empty()) {
-    std::printf("corpus has no indexed terms\n");
-    return;
-  }
-  const datasets::ZipfSampler popularity(mix.size(), 1.0);
-
-  for (const bool use_cache : {true, false}) {
-    serve::SearchService::Options options;
-    if (!use_cache) {
-      options.result_cache_entries = 0;
-      options.single_flight = false;
-    }
-    options.max_batch_size = max_batch_size;
-    options.max_batch_delay_ms = max_batch_delay_ms;
-    serve::SearchService service(snapshot, options);
-    std::vector<std::thread> workers;
-    for (int c = 0; c < clients; ++c) {
-      workers.emplace_back([&, c] {
-        Rng rng(static_cast<uint64_t>(c) * 7919 + 1);
-        for (int q = 0; q < queries_per_client; ++q) {
-          serve::ServeRequest request;
-          request.query = mix[popularity.Sample(rng)];
-          auto response = service.Search(std::move(request));
-          if (!response.ok()) {
-            std::printf("query failed: %s\n",
-                        response.status().ToString().c_str());
-          }
-        }
-      });
-    }
-    for (std::thread& t : workers) t.join();
-    std::printf("%-16s %s\n",
-                use_cache ? "result-cache on" : "result-cache off",
-                service.Snapshot().ToString().c_str());
-  }
-}
-
 // Runs the full graph-side validator stack on an in-memory dataset:
 // authority CSR (bounded by the schema's rate slots), the SELL-8
 // restructuring of its in-adjacency, and a fused layout materialized
@@ -515,17 +409,15 @@ void DoValidate(CliState& state, const std::string& args) {
     std::printf("%s\n", status.ok() ? "dataset OK" : status.ToString().c_str());
     return;
   }
-  // Dispatch on the file's magic: "ORXD2"/"ORXC2" mmap containers first
-  // (their 8-byte magic shares the old formats' 4-byte prefix), then the
-  // streamed "ORXD" datasets and "ORXC" rank caches.
+  // Dispatch on the container magic; a shorter file matches neither.
   char magic[8] = {};
   {
     std::ifstream in(path, std::ios::binary);
-    if (!in || !in.read(magic, 4)) {
+    if (!in) {
       std::printf("cannot read %s\n", path.c_str());
       return;
     }
-    in.read(magic + 4, 4);  // optional: old files may be this short
+    in.read(magic, 8);
   }
   if (std::equal(magic, magic + 8, orx::io::kDatasetMagic)) {
     // Deep validation is the point here: hashes over every section,
@@ -548,28 +440,8 @@ void DoValidate(CliState& state, const std::string& args) {
     }
     std::printf("mmap rank cache OK: %zu terms x %zu nodes\n",
                 cache->Terms().size(), cache->num_nodes());
-  } else if (std::string_view(magic, 4) == "ORXD") {
-    auto loaded = orx::io::LoadDataset(path);
-    if (!loaded.ok()) {
-      std::printf("%s\n", loaded.status().ToString().c_str());
-      return;
-    }
-    if (!loaded->finalized()) loaded->Finalize();
-    graph::TransferRates rates(loaded->schema(), 0.3);
-    Status status = ValidateDataset(*loaded, rates);
-    std::printf("%s\n",
-                status.ok() ? "dataset OK" : status.ToString().c_str());
-  } else if (std::string_view(magic, 4) == "ORXC") {
-    auto cache = core::RankCache::Load(path);
-    if (!cache.ok()) {
-      std::printf("%s\n", cache.status().ToString().c_str());
-      return;
-    }
-    Status status = cache->ValidateInvariants();
-    std::printf("%s\n",
-                status.ok() ? "rank cache OK" : status.ToString().c_str());
   } else {
-    std::printf("%s: unrecognized magic (expected ORXD or ORXC)\n",
+    std::printf("%s: unrecognized magic (expected ORXD2 or ORXC2)\n",
                 path.c_str());
   }
 }
@@ -599,6 +471,25 @@ void DoPack(CliState& state, const std::string& args) {
   }
 }
 
+// Attaches an ORXD2 container with the same deep validation orx_serve
+// runs, and serves it under the rates packed with it.
+void DoLoad(CliState& state, const std::string& args) {
+  const std::string path(orx::StripWhitespace(args));
+  if (path.empty()) {
+    std::printf("usage: load <dataset.orxd2>\n");
+    return;
+  }
+  auto mapped = orx::io::OpenMappedDataset(path);
+  if (!mapped.ok()) {
+    std::printf("%s\n", mapped.status().ToString().c_str());
+    return;
+  }
+  state.AdoptDataset(std::shared_ptr<const datasets::Dataset>(
+      *mapped, &(*mapped)->dataset()));
+  state.rates = (*mapped)->rates();
+  std::printf("attached %s; serving its packed rates\n", path.c_str());
+}
+
 void DoGenerate(CliState& state, const std::string& args) {
   auto tokens = SplitWhitespace(args);
   if (tokens.size() < 2) {
@@ -623,11 +514,6 @@ void DoGenerate(CliState& state, const std::string& args) {
 }  // namespace
 
 int main() {
-  // The shell itself never writes to sockets, but serve-bench's client
-  // threads do, and a reader that disconnects mid-response must surface
-  // as EPIPE rather than kill the process. Piped stdout gets the same
-  // courtesy.
-  orx::net::IgnoreSigpipe();
   CliState state;
   std::printf("ORX shell — authority-flow search with explanations "
               "(type 'help')\n");
@@ -679,20 +565,7 @@ int main() {
                                          : status.ToString().c_str());
       }
     } else if (command == "load") {
-      auto loaded = orx::io::LoadDataset(std::string(
-          orx::StripWhitespace(args)));
-      if (!loaded.ok()) {
-        std::printf("%s\n", loaded.status().ToString().c_str());
-      } else {
-        state.AdoptDataset(std::move(loaded).value());
-      }
-    } else if (command == "save") {
-      if (state.Ready()) {
-        auto status = orx::io::SaveDataset(
-            *state.dataset, std::string(orx::StripWhitespace(args)));
-        std::printf("%s\n", status.ok() ? "saved" :
-                    status.ToString().c_str());
-      }
+      DoLoad(state, args);
     } else if (command == "info") {
       if (state.Ready()) {
         std::printf("'%s': %zu nodes, %zu data edges, %zu indexed terms, "
@@ -717,8 +590,6 @@ int main() {
       DoPack(state, args);
     } else if (command == "precompute") {
       DoPrecompute(state, args);
-    } else if (command == "serve-bench") {
-      DoServeBench(state, args);
     } else if (command == "query") {
       DoQuery(state, args);
     } else if (command == "explain") {

@@ -1,4 +1,4 @@
-// orx_client: the ORXN protocol client. Four modes:
+// orx_client: the ORXN protocol client. Three modes:
 //
 //   interactive  REPL over one blocking connection (query / explain /
 //                feedback / validate / metrics / ping).
@@ -16,12 +16,10 @@
 //                window to expose publication-induced cliffs, and the
 //                record lands in BENCH_mutate.json with the server's
 //                write-path counters (snapshots published, epochs live).
-//   bench        per-op latency percentiles over one connection.
 //
-// load and bench append records to BENCH_net_serve.json (shared
-// bench-record schema). load exits non-zero if any sent frame went
-// unanswered — load shedding must arrive as kError/kUnavailable frames,
-// never as silence.
+// load writes its record to BENCH_net_serve.json (shared bench-record
+// schema) and exits non-zero if any sent frame went unanswered — load
+// shedding must arrive as kError/kUnavailable frames, never as silence.
 
 #include <poll.h>
 #include <unistd.h>
@@ -33,7 +31,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <iostream>
 #include <latch>
 #include <memory>
@@ -101,15 +98,13 @@ struct ClientFlags {
   // Requested execution tier on every kSearch frame (wire value of
   // core::SearchTier): 0 auto, 1 exact, 2 approximate, 3 cached.
   uint8_t tier = 0;
-  // bench:
-  int iters = 200;
   std::string json_path = "BENCH_net_serve.json";
 };
 
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s --mode interactive|e2e|load|bench --port P [--host H]\n"
+      "usage: %s --mode interactive|e2e|load --port P [--host H]\n"
       "  common: --scale S (dataset for query mix / e2e goldens)\n"
       "          --dataset PATH.orxd2 [--rank-cache PATH.orxc2] (attach\n"
       "          the server's container instead of generating; goldens\n"
@@ -122,8 +117,7 @@ int Usage(const char* argv0) {
       "          --rate RPS (0 = closed loop) --churn P --zipf-terms N\n"
       "          --zipf-s S --k K --seed N --json PATH --drain-grace SEC\n"
       "          --write-fraction F (mix kMutate sends; server needs\n"
-      "          --mutate; records land in BENCH_mutate.json)\n"
-      "  bench:  --iters N --json PATH\n",
+      "          --mutate; records land in BENCH_mutate.json)\n",
       argv0);
   return 2;
 }
@@ -187,8 +181,6 @@ bool ParseFlags(int argc, char** argv, ClientFlags* flags) {
       flags->k = static_cast<uint32_t>(std::atoi(v));
     } else if (arg == "--seed" && (v = value())) {
       flags->seed = static_cast<uint64_t>(std::atoll(v));
-    } else if (arg == "--iters" && (v = value())) {
-      flags->iters = std::atoi(v);
     } else if (arg == "--json" && (v = value())) {
       flags->json_path = v;
       flags->json_path_set = true;
@@ -1192,98 +1184,6 @@ int RunLoad(const ClientFlags& flags) {
   return 0;
 }
 
-// --- bench -----------------------------------------------------------------
-
-int RunBench(const ClientFlags& flags) {
-  std::printf("bench: building query mix (scale=%.3f)...\n", flags.scale);
-  tools::ServingDataset dataset =
-      BuildClientDataset(flags, static_cast<size_t>(flags.zipf_terms));
-  if (dataset.head_terms.empty()) {
-    std::fprintf(stderr, "bench: empty query universe\n");
-    return 1;
-  }
-  const datasets::ZipfSampler popularity(dataset.head_terms.size(),
-                                         flags.zipf_s);
-  Rng rng(flags.seed);
-  net::BlockingClient client;
-  Status connected =
-      client.Connect(flags.host, static_cast<uint16_t>(flags.port));
-  if (!connected.ok()) {
-    std::fprintf(stderr, "connect: %s\n", connected.ToString().c_str());
-    return 1;
-  }
-
-  struct OpBench {
-    std::string name;
-    std::function<Status()> call;
-    int iters;
-  };
-  const std::string& head = dataset.head_terms.front();
-  std::vector<OpBench> ops;
-  ops.push_back({"ping", [&] { return client.Ping(); }, flags.iters});
-  ops.push_back({"search_zipf",
-                 [&] {
-                   net::SearchRequest request;
-                   request.query =
-                       dataset.head_terms[popularity.Sample(rng)];
-                   request.k = flags.k;
-                   request.tier = flags.tier;
-                   return client.Search(request).status();
-                 },
-                 flags.iters});
-  ops.push_back({"explain_rank1",
-                 [&] { return client.Explain({head, 1}).status(); },
-                 std::max(1, flags.iters / 10)});
-  ops.push_back({"reformulate",
-                 [&] { return client.Reformulate({head, {1}}).status(); },
-                 std::max(1, flags.iters / 10)});
-  ops.push_back({"validate", [&] { return client.Validate().status(); },
-                 std::max(1, flags.iters / 10)});
-  ops.push_back({"metrics", [&] { return client.Metrics().status(); },
-                 flags.iters});
-
-  TablePrinter table({"op", "iters", "errors", "p50 (ms)", "p95 (ms)",
-                      "p99 (ms)", "mean (ms)"});
-  std::vector<std::string> records;
-  for (OpBench& op : ops) {
-    LatencyHistogram histogram;
-    int errors = 0;
-    IgnoreError(op.call());  // warm-up round
-    Timer wall;
-    for (int i = 0; i < op.iters; ++i) {
-      Timer timer;
-      if (!op.call().ok()) ++errors;
-      histogram.Record(timer.ElapsedSeconds());
-    }
-    const double wall_seconds = wall.ElapsedSeconds();
-    const double p50 = histogram.Percentile(50) * 1e3;
-    const double p95 = histogram.Percentile(95) * 1e3;
-    const double p99 = histogram.Percentile(99) * 1e3;
-    const double mean = histogram.MeanSeconds() * 1e3;
-    table.AddRow({op.name, std::to_string(op.iters),
-                  std::to_string(errors), FormatDouble(p50, 3),
-                  FormatDouble(p95, 3), FormatDouble(p99, 3),
-                  FormatDouble(mean, 3)});
-    bench::JsonObject record = bench::BenchRecord(
-        "net_serve_bench",
-        bench::BenchDataset{dataset.description,
-                            dataset.snapshot->data->num_nodes(),
-                            dataset.snapshot->authority->num_edges()},
-        1, wall_seconds);
-    record.Add("op", op.name)
-        .Add("iters", op.iters)
-        .Add("errors", errors)
-        .Add("latency_p50_ms", p50)
-        .Add("latency_p95_ms", p95)
-        .Add("latency_p99_ms", p99)
-        .Add("latency_mean_ms", mean);
-    records.push_back(record.ToString());
-  }
-  std::printf("%s", table.ToString().c_str());
-  bench::WriteJsonFile(flags.json_path, bench::JsonArray(records));
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1292,7 +1192,6 @@ int main(int argc, char** argv) {
   if (flags.mode == "interactive") return RunInteractive(flags);
   if (flags.mode == "e2e") return RunE2e(flags);
   if (flags.mode == "load") return RunLoad(flags);
-  if (flags.mode == "bench") return RunBench(flags);
   std::fprintf(stderr, "unknown mode '%s'\n", flags.mode.c_str());
   return Usage(argv[0]);
 }

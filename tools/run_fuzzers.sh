@@ -10,8 +10,7 @@ cd "$(dirname "$0")/.."
 
 SECONDS_PER_TARGET="${1:-30}"
 BUILD_DIR="${ORX_FUZZ_BUILD_DIR:-build-fuzz}"
-TARGETS=(dblp_xml graph_tsv dataset_io container rank_cache text net_frame
-  mutation)
+TARGETS=(dblp_xml graph_tsv container text net_frame mutation)
 
 cmake -B "$BUILD_DIR" -S . \
   -DORX_FUZZ=ON \
