@@ -1,11 +1,10 @@
-// Quality-vs-latency frontier of the three execution tiers (ISSUE 9 /
-// ROADMAP item 4): exact fused power iteration, approximate local
-// forward push across an r_max sweep, and the precomputed rank cache
-// dense vs compressed. For every tier the sweep reports precision@k and
-// recall@k against the exact golden top-k, latency percentiles, and —
-// for the bounded tiers — whether the reported additive error bound
-// actually dominates the measured L-inf error (the property the
-// tier-smoke CI gate asserts).
+// Quality-vs-latency frontier of the execution tiers: the exact fused
+// power iteration and the precomputed rank cache, dense vs compressed.
+// For every tier the sweep reports precision@k and recall@k against the
+// exact golden top-k, exact nearest-rank latency percentiles over the
+// sorted samples, and — for compressed hits, the one bounded answer —
+// whether the reported additive error bound actually dominates the
+// measured L-inf error (the property the tier-smoke CI gate asserts).
 //
 // Emits BENCH_tier_frontier.json (shared bench-record schema, one record
 // per tier configuration). Honors ORX_BENCH_SCALE for smoke runs.
@@ -19,12 +18,12 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/histogram.h"
 #include "common/strings.h"
 #include "common/table.h"
 #include "common/timer.h"
 #include "core/rank_cache.h"
 #include "core/searcher.h"
+#include "orxbench/percentiles.h"
 #include "text/query.h"
 
 namespace {
@@ -35,8 +34,7 @@ using namespace orx;
 struct TierConfig {
   std::string name;
   core::SearchTier tier = core::SearchTier::kExact;
-  double r_max = 0.0;                       // approximate tier only
-  const core::RankCache* cache = nullptr;   // cached tier only
+  const core::RankCache* cache = nullptr;  // cached tier only
 };
 
 /// Golden outcome of one query under the exact tier.
@@ -47,11 +45,11 @@ struct Golden {
 
 /// Aggregates of one tier over one df band (or the whole mix).
 struct BandOutcome {
-  LatencyHistogram latency;
+  /// Execution-stage seconds of every timed search; Finish() sorts them.
+  std::vector<double> latency;
   double precision_sum = 0.0;
   double recall_sum = 0.0;
   size_t queries = 0;
-  size_t certified = 0;
   size_t escalated = 0;
   size_t cache_hits = 0;
   /// Largest measured L-inf vs the reference and largest reported bound,
@@ -60,6 +58,18 @@ struct BandOutcome {
   double max_reported_bound = 0.0;
   /// False iff some query's reported bound was below its measured error.
   bool bound_holds = true;
+
+  void Finish() { std::sort(latency.begin(), latency.end()); }
+  /// Exact nearest-rank percentile in seconds (call Finish() first).
+  double Percentile(double p) const {
+    return latency.empty() ? 0.0
+                           : orxbench::PercentileOfSorted(latency, p);
+  }
+  double MeanSeconds() const {
+    double sum = 0.0;
+    for (const double seconds : latency) sum += seconds;
+    return latency.empty() ? 0.0 : sum / static_cast<double>(latency.size());
+  }
 };
 
 /// Aggregates of one tier: the whole mix plus per-band breakdown.
@@ -72,8 +82,7 @@ struct TierOutcome {
 
 int main() {
   const double scale = bench::ScaleFromEnv();
-  std::printf("=== Tier frontier: exact / approx(r_max) / cached tiers "
-              "(scale=%.3f) ===\n\n",
+  std::printf("=== Tier frontier: exact / cached tiers (scale=%.3f) ===\n\n",
               scale);
   datasets::DblpDataset dblp = datasets::GenerateDblp(bench::ScaledDblp(
       datasets::DblpGeneratorConfig::DblpComplete(), scale));
@@ -87,11 +96,10 @@ int main() {
   std::printf("dataset: %zu nodes, %zu edges\n\n", dataset_info.nodes,
               dataset_info.edges);
 
-  // Query mix across document-frequency bands. Locality decides which
-  // tier wins: head terms seed base sets that span the graph (the push
-  // frontier goes dense immediately — cache territory), while tail terms
-  // keep the push local, so it certifies after touching a fraction of
-  // the graph that the exact kernel must sweep in full every iteration.
+  // Query mix across document-frequency bands: head terms seed base sets
+  // that span the graph, tail terms seed small ones. The exact kernel
+  // sweeps the whole graph either way, while the cache answers every
+  // band at the same cost, so the bands show where the gap is widest.
   std::vector<std::pair<uint32_t, std::string>> by_df;
   for (text::TermId t = 0; t < corpus.vocab_size(); ++t) {
     if (corpus.Df(t) >= 3) by_df.emplace_back(corpus.Df(t), corpus.TermString(t));
@@ -156,21 +164,15 @@ int main() {
   std::printf("cache built in %.2fs; compression: %s\n\n",
               cache_timer.ElapsedSeconds(), compression.ToString().c_str());
 
-  std::vector<TierConfig> tiers;
-  tiers.push_back({"exact", core::SearchTier::kExact, 0.0, nullptr});
-  for (double r_max : {1e-5, 1e-6, 1e-7}) {
-    tiers.push_back({"approx_rmax" + FormatDouble(-std::log10(r_max), 0),
-                     core::SearchTier::kApproximate, r_max, nullptr});
-  }
-  tiers.push_back(
-      {"cached_dense", core::SearchTier::kCached, 0.0, &dense_cache});
-  tiers.push_back({"cached_compressed", core::SearchTier::kCached, 0.0,
-                   &compressed_cache});
+  const std::vector<TierConfig> tiers = {
+      {"exact", core::SearchTier::kExact, nullptr},
+      {"cached_dense", core::SearchTier::kCached, &dense_cache},
+      {"cached_compressed", core::SearchTier::kCached, &compressed_cache},
+  };
 
   // Exact goldens first: the quality reference every tier is scored
-  // against. Solved far past the production epsilon (0.001) — the golden
-  // must sit within ~1e-9 of the true fixpoint or its own solver error
-  // would dominate the refined push bounds this bench is checking. The
+  // against. Solved far past the production epsilon (0.001) so the
+  // golden's own solver error cannot decide a precision@k tie. The
   // timed exact tier below keeps production options; this pass is the
   // referee, not a contestant.
   std::vector<Golden> goldens(mix.size());
@@ -207,7 +209,6 @@ int main() {
     if (tier.cache != nullptr) searcher.AttachRankCache(tier.cache);
     core::SearchOptions options = base_options;
     options.tier = tier.tier;
-    if (tier.r_max > 0.0) options.approx.r_max = tier.r_max;
     for (size_t q = 0; q < mix.size(); ++q) {
       if (goldens[q].scores.empty()) continue;
       const text::QueryVector query(text::ParseQuery(mix[q]));
@@ -219,7 +220,8 @@ int main() {
       for (int r = 0; r < repeats; ++r) {
         auto result = searcher.Search(query, rates, options);
         if (!result.ok()) continue;
-        record_both([&](BandOutcome& b) { b.latency.Record(result->seconds); });
+        record_both(
+            [&](BandOutcome& b) { b.latency.push_back(result->seconds); });
         if (r != 0) continue;  // quality is deterministic per query
         size_t overlap = 0;
         for (const core::ScoredNode& node : result->top) {
@@ -248,7 +250,6 @@ int main() {
         }
         record_both([&](BandOutcome& b) {
           ++b.queries;
-          if (result->certified) ++b.certified;
           if (result->escalated) ++b.escalated;
           if (result->from_cache) ++b.cache_hits;
           b.precision_sum += precision;
@@ -264,18 +265,21 @@ int main() {
     }
   }
 
+  for (TierOutcome& out : outcomes) {
+    out.all.Finish();
+    for (auto& [band, outcome] : out.by_band) outcome.Finish();
+  }
   // Speedups are banded against the exact tier's p50 for the *same* band:
   // the exact kernel's cost is query-independent, but banding keeps the
   // ratio honest anyway.
   const auto exact_p50_of = [&](const std::string& band) {
-    if (band == "all") return outcomes[0].all.latency.Percentile(50);
+    if (band == "all") return outcomes[0].all.Percentile(50);
     const auto it = outcomes[0].by_band.find(band);
-    return it == outcomes[0].by_band.end() ? 0.0
-                                           : it->second.latency.Percentile(50);
+    return it == outcomes[0].by_band.end() ? 0.0 : it->second.Percentile(50);
   };
-  TablePrinter table({"tier", "queries", "certified", "escalated",
-                      "precision@10", "p50 (ms)", "p99 (ms)", "speedup",
-                      "tail p50", "tail speedup", "bound"});
+  TablePrinter table({"tier", "queries", "escalated", "precision@10",
+                      "p50 (ms)", "p99 (ms)", "speedup", "tail p50",
+                      "tail speedup", "bound"});
   std::vector<std::string> records;
   Timer wall;
   for (size_t t = 0; t < tiers.size(); ++t) {
@@ -289,23 +293,22 @@ int main() {
     for (const auto& [band, outcome] : slices) {
       const double n = std::max<size_t>(1, outcome->queries);
       const double exact_p50 = exact_p50_of(band);
-      const double p50 = outcome->latency.Percentile(50);
+      const double p50 = outcome->Percentile(50);
       bench::JsonObject record = bench::BenchRecord(
           "tier_frontier", dataset_info, 1, wall.ElapsedSeconds());
       record.Add("tier", tier.name)
           .Add("band", band)
-          .Add("r_max", tier.r_max)
           .Add("k", k)
           .Add("queries", outcome->queries)
-          .Add("certified", outcome->certified)
           .Add("escalated", outcome->escalated)
           .Add("cache_hits", outcome->cache_hits)
           .Add("precision_at_k", outcome->precision_sum / n)
           .Add("recall_at_k", outcome->recall_sum / n)
+          .Add("latency_samples", outcome->latency.size())
           .Add("latency_p50_ms", p50 * 1e3)
-          .Add("latency_p95_ms", outcome->latency.Percentile(95) * 1e3)
-          .Add("latency_p99_ms", outcome->latency.Percentile(99) * 1e3)
-          .Add("latency_mean_ms", outcome->latency.MeanSeconds() * 1e3)
+          .Add("latency_p95_ms", outcome->Percentile(95) * 1e3)
+          .Add("latency_p99_ms", outcome->Percentile(99) * 1e3)
+          .Add("latency_mean_ms", outcome->MeanSeconds() * 1e3)
           .Add("speedup_vs_exact_p50", p50 > 0.0 ? exact_p50 / p50 : 0.0)
           .Add("max_measured_linf", outcome->max_measured_linf)
           .Add("max_reported_bound", outcome->max_reported_bound)
@@ -326,20 +329,20 @@ int main() {
     }
     const BandOutcome& all = out.all;
     const double n = std::max<size_t>(1, all.queries);
-    const double p50 = all.latency.Percentile(50);
+    const double p50 = all.Percentile(50);
     const double speedup = p50 > 0.0 ? exact_p50_of("all") / p50 : 0.0;
     double tail_p50 = 0.0;
     double tail_speedup = 0.0;
     if (const auto it = out.by_band.find("tail"); it != out.by_band.end()) {
-      tail_p50 = it->second.latency.Percentile(50);
+      tail_p50 = it->second.Percentile(50);
       tail_speedup = tail_p50 > 0.0 ? exact_p50_of("tail") / tail_p50 : 0.0;
     }
     bool bound_holds = all.bound_holds;
     table.AddRow(
         {tier.name, std::to_string(all.queries),
-         std::to_string(all.certified), std::to_string(all.escalated),
+         std::to_string(all.escalated),
          FormatDouble(all.precision_sum / n, 4), FormatDouble(p50 * 1e3, 3),
-         FormatDouble(all.latency.Percentile(99) * 1e3, 3),
+         FormatDouble(all.Percentile(99) * 1e3, 3),
          FormatDouble(speedup, 1) + "x", FormatDouble(tail_p50 * 1e3, 3),
          FormatDouble(tail_speedup, 1) + "x", bound_holds ? "ok" : "FAIL"});
   }
@@ -349,7 +352,7 @@ int main() {
 
   // The frontier is informational; the bound is a hard property. Exit
   // nonzero if any tier reported a bound its measured error exceeded —
-  // the same contract approx_tier_test.cc and the tier-smoke gate hold.
+  // the same contract cache_tier_test.cc and the tier-smoke gate hold.
   for (const TierOutcome& out : outcomes) {
     if (!out.all.bound_holds) {
       std::fprintf(stderr, "tier frontier: FAIL — a reported error bound "

@@ -108,10 +108,10 @@ int main(int argc, char** argv) {
               EncodeFrame(Op::kSearch, 2,
                           EncodeSearchRequest({"data cube olap", 10, 0.5})));
     // Tier-bearing request: the trailing tier byte set to a non-default
-    // value so mutations explore the tier validation path (values > 3
-    // must decode as kDataLoss, not reach the handler).
+    // value so mutations explore the tier validation path (the reserved
+    // 2 and values > 3 must decode as kDataLoss, not reach the handler).
     SearchRequest tiered{"data cube olap", 10, 0.5};
-    tiered.tier = 2;  // approximate
+    tiered.tier = 3;  // cached
     WriteSeed(root / "net_frame" / "search_request_tier.bin",
               EncodeFrame(Op::kSearch, 9, EncodeSearchRequest(tiered)));
     SearchResponse search;
@@ -119,9 +119,8 @@ int main(int argc, char** argv) {
     search.results.push_back({7, 0.0625, "author", "Gray"});
     search.iterations = 12;
     search.snapshot_version = 1;
-    search.tier_used = 2;  // approximate, with a live error bound
+    search.tier_used = 3;  // a compressed cache hit, with a live error bound
     search.error_bound = 1.5e-6;
-    search.certified = true;
     search.escalated = false;
     WriteSeed(root / "net_frame" / "search_response.bin",
               EncodeFrame(Op::kSearch, 2, EncodeSearchResponse(search)));
@@ -144,10 +143,9 @@ int main(int argc, char** argv) {
     metrics.serve.submitted = 100;
     metrics.serve.completed = 99;
     metrics.serve.tier_exact = 60;
-    metrics.serve.tier_approximate = 30;
-    metrics.serve.tier_cached = 9;
+    metrics.serve.tier_cached = 39;  // the group's reserved slots stay 0
     metrics.serve.escalations = 4;
-    metrics.serve.tier_approximate_p50 = 0.002;
+    metrics.serve.tier_cached_p50 = 0.002;
     metrics.frames_received = 123;
     WriteSeed(root / "net_frame" / "metrics_response.bin",
               EncodeFrame(Op::kMetrics, 6, EncodeMetricsResponse(metrics)));

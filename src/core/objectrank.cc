@@ -640,11 +640,4 @@ ObjectRankResult ObjectRankEngine::ComputeGlobal(
   return Compute(GlobalBaseSet(graph_->num_nodes()), rates, options);
 }
 
-ApproxResult ObjectRankEngine::ComputeApproximate(
-    const BaseSet& base, const graph::TransferRates& rates,
-    const ApproxOptions& options) const {
-  return ApproximatePush(*graph_, base, rates,
-                         *fused_cache_->Masses(*graph_, rates), options);
-}
-
 }  // namespace orx::core

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/approx.h"
 #include "core/base_set.h"
 #include "graph/authority_graph.h"
 #include "graph/spmv_layout.h"
@@ -170,17 +169,6 @@ class ObjectRankEngine {
   /// nodes, uniform).
   ObjectRankResult ComputeGlobal(const graph::TransferRates& rates,
                                  const ObjectRankOptions& options = {}) const;
-
-  /// Runs the approximate local forward-push kernel (core/approx.h)
-  /// instead of the power iteration: cost proportional to touched nodes,
-  /// and the result carries a certified one-sided additive error bound
-  /// against the fixpoint Compute converges to. The per-node out-mass
-  /// reduction the bound needs is memoized in the engine's shared
-  /// FusedWeightCache, so serving pays its O(|E|) resolution once per
-  /// rates fingerprint, not per request.
-  ApproxResult ComputeApproximate(const BaseSet& base,
-                                  const graph::TransferRates& rates,
-                                  const ApproxOptions& options = {}) const;
 
   const graph::AuthorityGraph& graph() const { return *graph_; }
 

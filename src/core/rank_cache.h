@@ -98,7 +98,7 @@ class RankCache {
     /// combination: for every node v,
     ///   scores[v] <= dense[v] <= scores[v] + error_bound.
     /// 0 when every contributing term is dense. Callers gate acceptance
-    /// on top-k certification against this bound (core/approx.h).
+    /// on top-k certification against this bound (core/top_k.h).
     double error_bound = 0.0;
     /// Contributing terms served from a compressed entry.
     size_t compressed_terms = 0;

@@ -93,34 +93,6 @@ std::vector<StatusOr<SearchResult>> Searcher::SearchBatch(
     return out;
   }
 
-  if (options.tier == SearchTier::kApproximate) {
-    // The push kernel drains a per-query frontier — there is no block
-    // form — so the approximate tier runs per lane, each with its own
-    // escalation decision and its lane hook chained onto the shared one.
-    for (const BatchSearchRequest& request : requests) {
-      if (request.query.empty()) {
-        out.push_back(InvalidArgumentError("empty query vector"));
-        continue;
-      }
-      auto base = BuildBaseSet(*corpus_, request.query,
-                               BaseSetMode::kIrWeighted, options.bm25);
-      if (!base.ok()) {
-        out.push_back(base.status());
-        continue;
-      }
-      SearchOptions lane_options = options;
-      if (request.cancel) {
-        std::function<bool()> shared = options.objectrank.cancel;
-        std::function<bool()> mine = request.cancel;
-        lane_options.objectrank.cancel = [shared, mine] {
-          return (shared && shared()) || mine();
-        };
-      }
-      out.push_back(SearchApproximate(rates, lane_options, *base));
-    }
-    return out;
-  }
-
   // ObjectRank2: base-set construction and the rank-cache fast path run
   // per lane; the remaining lanes share one block power iteration.
   struct Lane {
@@ -255,90 +227,6 @@ std::optional<SearchResult> Searcher::TryCacheAnswer(
   return result;
 }
 
-StatusOr<SearchResult> Searcher::SearchApproximate(
-    const graph::TransferRates& rates, const SearchOptions& options,
-    const BaseSet& base) {
-  ApproxOptions approx = options.approx;
-  // Both kernels must solve the same fixpoint under the same deadline.
-  approx.damping = options.objectrank.damping;
-  approx.cancel = options.objectrank.cancel;
-  Timer timer;
-
-  // Certification-driven refinement: the push bound shrinks roughly
-  // linearly with the residual threshold, so when a run's bound cannot
-  // separate the top-k set we jump the threshold straight to what the
-  // observed gap demands and re-push. The discarded runs cost a geometric
-  // fraction of the final one.
-  ApproxResult rank;
-  CertifiedTopK certified;
-  int rounds_total = 0;
-  bool set_is_certified = false;
-  for (int attempt = 0;; ++attempt) {
-    rank = engine_.ComputeApproximate(base, rates, approx);
-    rounds_total += rank.rounds;
-    if (rank.cancelled) {
-      return DeadlineExceededError("search cancelled after " +
-                                   std::to_string(rounds_total) +
-                                   " push rounds");
-    }
-    if (!rank.certified) break;  // rho >= 1: the bound family is invalid
-    certified = CertifyTopK(rank.scores, rank.linf_bound, options.k, *data_,
-                            options.result_type);
-    if (certified.certified) {
-      set_is_certified = true;
-      break;
-    }
-    if (attempt + 1 >= approx.max_refinements) break;
-    // Aim the next run's bound at half the observed gap. The gap itself
-    // moves by at most the (shrinking) bound between runs, so one jump
-    // normally lands; the /4 cap guarantees progress when it does not.
-    double next = approx.r_max / 4.0;
-    if (std::isfinite(certified.gap) && certified.gap > 0.0 &&
-        rank.linf_bound > 0.0) {
-      next = std::min(next,
-                      approx.r_max * certified.gap / (2.0 * rank.linf_bound));
-    }
-    if (!(next >= approx.r_min)) break;  // gap too small to push for
-    approx.r_max = next;
-  }
-
-  if (set_is_certified) {
-    SearchResult result;
-    result.seconds = timer.ElapsedSeconds();
-    result.iterations = rounds_total;
-    result.converged = true;
-    result.base_set_size = base.size();
-    result.tier_used = SearchTier::kApproximate;
-    result.error_bound = rank.linf_bound;
-    result.top = std::move(certified.top);
-    result.scores = std::move(rank.scores);
-    return result;
-  }
-
-  // The bound could not certify the top-k set (or the contraction factor
-  // made the bound itself invalid): escalate to the exact kernel. The
-  // push estimate is a one-sided approximation of the fixpoint, so it
-  // outranks the session seed as a warm start.
-  ObjectRankResult exact =
-      engine_.Compute(base, rates, options.objectrank, &rank.scores);
-  if (exact.cancelled) {
-    return DeadlineExceededError("search cancelled after " +
-                                 std::to_string(exact.iterations) +
-                                 " iterations (escalated)");
-  }
-  SearchResult result;
-  result.seconds = timer.ElapsedSeconds();
-  result.iterations = rounds_total + exact.iterations;
-  result.converged = exact.converged;
-  result.base_set_size = base.size();
-  result.tier_used = SearchTier::kExact;
-  result.escalated = true;
-  result.top =
-      TopKOfType(exact.scores, options.k, *data_, options.result_type);
-  result.scores = std::move(exact.scores);
-  return result;
-}
-
 StatusOr<SearchResult> Searcher::SearchObjectRank2(
     const text::QueryVector& query, const graph::TransferRates& rates,
     const SearchOptions& options) {
@@ -355,15 +243,6 @@ StatusOr<SearchResult> Searcher::SearchObjectRank2(
       has_previous_ = true;
       return *std::move(hit);
     }
-  }
-
-  if (options.tier == SearchTier::kApproximate) {
-    auto result = SearchApproximate(rates, options, *base);
-    if (result.ok()) {
-      previous_scores_ = result->scores;
-      has_previous_ = true;
-    }
-    return result;
   }
 
   const std::vector<double>* seed = nullptr;

@@ -16,24 +16,21 @@
 
 namespace orx::core {
 
-/// Which execution tier answers a search. The tiers trade latency for
-/// certainty; all of them return sound rankings — the approximate and
-/// cached tiers additionally report the certified error bound they
-/// carry, and escalate to the exact kernel when the top-k set cannot be
-/// certified under it. The numeric values are the wire encoding
-/// (net/frame.h) — append only.
+/// Which execution tier answers a search. Every tier returns a sound
+/// ranking: a compressed rank-cache hit reports the certified error
+/// bound it carries, and the cache falls back to the exact kernel when
+/// the top-k set cannot be certified under it. The numeric values are
+/// the wire encoding (net/frame.h) — append only.
 enum class SearchTier : uint8_t {
   /// Cache when fresh and certifiable, exact otherwise (the historical
   /// behavior, and the default).
   kAuto = 0,
   /// Always run the power iteration; the cache is not consulted.
   kExact = 1,
-  /// Run the local forward-push kernel (core/approx.h) and certify the
-  /// top-k set against its error bound; escalate to exact when
-  /// certification fails.
-  kApproximate = 2,
-  /// Prefer the precomputed rank cache; on any miss (reason reported in
-  /// SearchResult::cache_miss_reason) fall back to exact.
+  // Value 2 is reserved: older clients send it for the approximate
+  // tier, and the wire decoder rejects it (net/frame.h).
+  /// The same cache-or-exact path as kAuto, except that a miss (reason
+  /// in SearchResult::cache_miss_reason) is reported as escalated.
   kCached = 3,
 };
 
@@ -86,10 +83,6 @@ struct SearchOptions {
   /// Execution tier; see SearchTier. Only ObjectRank2 mode dispatches on
   /// it — baseline mode always runs its per-keyword exact product.
   SearchTier tier = SearchTier::kAuto;
-  /// Knobs of the approximate kernel when tier is kApproximate. Its
-  /// damping and cancel hook are overridden from `objectrank` so the two
-  /// kernels always solve the same fixpoint under the same deadline.
-  ApproxOptions approx;
 };
 
 /// One query of a Searcher::SearchBatch call. Options are shared across
@@ -122,18 +115,16 @@ struct SearchResult {
   /// Wall-clock seconds of the ObjectRank execution stage.
   double seconds = 0.0;
   /// The tier that actually produced the scores (never kAuto): kCached
-  /// iff from_cache, kApproximate iff the push kernel's bound certified
-  /// the top-k set, kExact otherwise.
+  /// iff from_cache, kExact otherwise.
   SearchTier tier_used = SearchTier::kExact;
-  /// Certified additive error bound on `scores` (0 for exact results).
-  /// For every node v: scores[v] <= exact[v] <= scores[v] + error_bound.
+  /// Certified additive error bound on `scores` (0 for exact results and
+  /// dense cache hits). For every node v:
+  /// scores[v] <= exact[v] <= scores[v] + error_bound. A compressed hit
+  /// only stands when `top` provably equals the exact top-k set under
+  /// this bound (CertifyTopK in core/top_k.h).
   double error_bound = 0.0;
-  /// True iff `top` provably equals the exact top-k set: exact tiers
-  /// trivially, approximate/compressed tiers via the gap test
-  /// (CertifyTopK in core/approx.h).
-  bool certified = true;
-  /// True iff a non-exact tier was requested but could not certify its
-  /// answer, so the exact kernel ran instead.
+  /// True iff a kCached request could not be answered from the cache, so
+  /// the exact kernel ran instead.
   bool escalated = false;
   /// Why the rank cache did not answer (kNone on a hit, or when the tier
   /// never consulted it).
@@ -225,12 +216,6 @@ class Searcher {
   StatusOr<SearchResult> SearchBaseline(const text::QueryVector& query,
                                         const graph::TransferRates& rates,
                                         const SearchOptions& options);
-  /// The approximate tier: forward-push, certify, escalate on failure.
-  /// Pure with respect to session state (SearchBatch calls it per lane);
-  /// Search updates the warm-start seed from its result.
-  StatusOr<SearchResult> SearchApproximate(const graph::TransferRates& rates,
-                                           const SearchOptions& options,
-                                           const BaseSet& base);
   /// Tries to answer from the rank cache. Returns the result on a
   /// certified hit; otherwise sets *reason and returns nullopt.
   std::optional<SearchResult> TryCacheAnswer(const text::QueryVector& query,

@@ -1,6 +1,8 @@
 #include "core/top_k.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 namespace orx::core {
 namespace {
@@ -58,6 +60,32 @@ std::vector<ScoredNode> TopKOfTypeExcluding(
     if (v < excluded.size() && excluded[v]) return false;
     return !type.has_value() || data.NodeType(v) == *type;
   });
+}
+
+CertifiedTopK CertifyTopK(const std::vector<double>& scores,
+                          double linf_bound, size_t k,
+                          const graph::DataGraph& data,
+                          std::optional<graph::TypeId> type) {
+  CertifiedTopK out;
+  if (k == 0) return out;
+  // One extra candidate exposes the best excluded score.
+  std::vector<ScoredNode> extended = TopKOfType(scores, k + 1, data, type);
+  if (extended.size() <= k) {
+    // Fewer than k+1 candidates of this type exist: the "top-k set" is
+    // the full candidate set for exact and approximate scores alike.
+    out.top = std::move(extended);
+    out.gap = std::numeric_limits<double>::infinity();
+    out.certified = std::isfinite(linf_bound);
+    return out;
+  }
+  const double excluded = extended.back().score;
+  extended.pop_back();
+  out.gap = extended.back().score - excluded;
+  // Strict inequality: at gap == bound the true scores can tie, and a
+  // tie resolves by node id, about which the bound says nothing.
+  out.certified = std::isfinite(linf_bound) && out.gap > linf_bound;
+  out.top = std::move(extended);
+  return out;
 }
 
 }  // namespace orx::core

@@ -632,53 +632,6 @@ std::shared_ptr<const std::vector<size_t>> FusedWeightCache::Partition(
   return bounds;
 }
 
-PushMass PushMass::Build(const AuthorityGraph& graph,
-                         const TransferRates& rates) {
-  PushMass result;
-  const size_t n = graph.num_nodes();
-  result.mass.resize(n, 0.0);
-  result.out_weight.resize(graph.num_edges(), 0.0);
-  size_t edge = 0;
-  for (size_t u = 0; u < n; ++u) {
-    double sum = 0.0;
-    for (const AuthorityEdge& e : graph.OutEdges(static_cast<NodeId>(u))) {
-      const double a = AuthorityGraph::EdgeRate(e, rates);
-      result.out_weight[edge++] = a;
-      sum += a;
-    }
-    result.mass[u] = sum;
-    result.max_mass = std::max(result.max_mass, sum);
-  }
-  return result;
-}
-
-std::shared_ptr<const PushMass> FusedWeightCache::Masses(
-    const AuthorityGraph& graph, const TransferRates& rates) {
-  const uint64_t fingerprint = rates.Fingerprint();
-  MutexLock lock(mu_);
-  BindLocked(graph);
-  for (auto& [fp, last_used, masses] : masses_) {
-    if (fp == fingerprint) {
-      last_used = ++tick_;
-      return masses;
-    }
-  }
-  // Miss: build under the lock, like Get() — concurrent callers need
-  // this same reduction, so blocking them beats building it twice.
-  auto masses =
-      std::make_shared<const PushMass>(PushMass::Build(graph, rates));
-  if (masses_.size() >= kMaxLayouts) {
-    auto lru = std::min_element(masses_.begin(), masses_.end(),
-                                [](const auto& a, const auto& b) {
-                                  return std::get<1>(a) < std::get<1>(b);
-                                });
-    *lru = {fingerprint, ++tick_, masses};
-  } else {
-    masses_.emplace_back(fingerprint, ++tick_, masses);
-  }
-  return masses;
-}
-
 size_t FusedWeightCache::size() const {
   MutexLock lock(mu_);
   return layouts_.size();
@@ -688,7 +641,6 @@ void FusedWeightCache::Clear() {
   MutexLock lock(mu_);
   layouts_.clear();
   partitions_.clear();
-  masses_.clear();
   structure_.reset();
 }
 

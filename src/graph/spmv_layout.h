@@ -5,7 +5,6 @@
 #include <memory>
 #include <new>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "common/mutex.h"
@@ -258,28 +257,6 @@ void FusedPullBlockRange(const uint64_t* chunk_offsets,
 std::vector<size_t> BalancedPartition(std::span<const uint64_t> offsets,
                                       size_t parts);
 
-/// Rate-resolved outgoing authority mass per node: mass[u] is the sum of
-/// a(e) over u's out-edges under one TransferRates vector, and max_mass
-/// is its maximum over all nodes. This is the push-side companion of the
-/// pull-side FusedLayout — the approximate kernel (core/approx.h) turns
-/// d * max_mass into its contraction factor, so its certified error
-/// bounds need exactly this reduction and nothing else from the layout.
-struct PushMass {
-  std::vector<double> mass;
-  double max_mass = 0.0;
-
-  /// Fused per-edge scatter weights a(e) = rate(e) * inv_out_deg(e) in
-  /// out-CSR order (parallel to AuthorityGraph::out_offsets). The push
-  /// inner loop runs every round over the same edges; resolving the rate
-  /// slot once here instead of per edge per round is the out-adjacency
-  /// mirror of what FusedLayout does for the pull SpMV.
-  std::vector<double> out_weight;
-
-  /// Builds the reduction from the out-adjacency. O(|E|).
-  static PushMass Build(const AuthorityGraph& graph,
-                        const TransferRates& rates);
-};
-
 /// Thread-safe memo of FusedLayouts keyed by TransferRates fingerprint,
 /// plus the graph-level state every layout shares: the SELL structure and
 /// the balanced chunk partitions. One cache serves one graph (bound on
@@ -317,13 +294,6 @@ class FusedWeightCache {
   std::shared_ptr<const std::vector<size_t>> Partition(
       const AuthorityGraph& graph, size_t parts);
 
-  /// Returns the per-node outgoing-mass reduction for (graph, rates),
-  /// building and memoizing it on first use for this rates fingerprint.
-  /// Deliberately independent of Get(): the approximate tier must not
-  /// pay a SELL materialization just to learn its contraction factor.
-  std::shared_ptr<const PushMass> Masses(const AuthorityGraph& graph,
-                                         const TransferRates& rates);
-
   /// Number of resident layouts.
   size_t size() const;
 
@@ -349,9 +319,6 @@ class FusedWeightCache {
   std::shared_ptr<const SellStructure> structure_ ORX_GUARDED_BY(mu_);
   std::vector<std::pair<size_t, std::shared_ptr<const std::vector<size_t>>>>
       partitions_ ORX_GUARDED_BY(mu_);
-  /// (fingerprint, last_used, masses) — same LRU discipline as layouts_.
-  std::vector<std::tuple<uint64_t, uint64_t, std::shared_ptr<const PushMass>>>
-      masses_ ORX_GUARDED_BY(mu_);
 };
 
 }  // namespace orx::graph

@@ -25,6 +25,9 @@ constexpr uint64_t kAttributeLimit = 1u << 12;
 // append-only, so a value above this is a malformed frame, not a newer
 // peer — newer tiers would bump this constant in lockstep.
 constexpr uint8_t kMaxWireTier = 3;
+// Reserved tier value: older clients send it for the approximate tier,
+// which this server no longer has, so it is refused rather than cast.
+constexpr uint8_t kReservedWireTier = 2;
 
 // ByteReader is the hardened offset-tracking reader the binary
 // decoders share; wrapping the payload in a stream reuses it
@@ -192,6 +195,12 @@ StatusOr<SearchRequest> DecodeSearchRequest(const std::string& payload) {
       in.reader().ReadDouble(&request.deadline_seconds, "search deadline"));
   if (!in.AtEnd()) {
     ORX_RETURN_IF_ERROR(ReadU8(in.reader(), &request.tier, "search tier"));
+    if (request.tier == kReservedWireTier) {
+      return DataLossError(
+          "search tier 2 (approximate) was removed; use 0 auto, 1 exact or "
+          "3 cached, at byte " +
+          std::to_string(in.reader().offset()));
+    }
     if (request.tier > kMaxWireTier) {
       return DataLossError("unknown search tier " +
                            std::to_string(request.tier) + " at byte " +
@@ -219,7 +228,7 @@ std::string EncodeSearchResponse(const SearchResponse& response) {
   AppendDouble(&out, response.total_seconds);
   out.push_back(static_cast<char>(response.tier_used));
   AppendDouble(&out, response.error_bound);
-  out.push_back(response.certified ? 1 : 0);
+  out.push_back(1);  // reserved: older decoders read it as "certified"
   out.push_back(response.escalated ? 1 : 0);
   return out;
 }
@@ -264,8 +273,7 @@ StatusOr<SearchResponse> DecodeSearchResponse(const std::string& payload) {
     }
     ORX_RETURN_IF_ERROR(
         in.reader().ReadDouble(&response.error_bound, "error bound"));
-    ORX_RETURN_IF_ERROR(ReadU8(in.reader(), &flag, "certified"));
-    response.certified = flag != 0;
+    ORX_RETURN_IF_ERROR(ReadU8(in.reader(), &flag, "reserved tier byte"));
     ORX_RETURN_IF_ERROR(ReadU8(in.reader(), &flag, "escalated"));
     response.escalated = flag != 0;
   }
@@ -438,7 +446,7 @@ std::string EncodeMetricsResponse(const MetricsResponse& response) {
   AppendU64(&out, response.rank_terms_refreshed);
   // Trailing optional tier block — pre-tier decoders stop above.
   AppendU64(&out, m.tier_exact);
-  AppendU64(&out, m.tier_approximate);
+  AppendU64(&out, 0);  // reserved: older decoders read approximate count
   AppendU64(&out, m.tier_cached);
   AppendU64(&out, m.escalations);
   AppendU64(&out, m.miss_no_cache);
@@ -448,8 +456,8 @@ std::string EncodeMetricsResponse(const MetricsResponse& response) {
   AppendU64(&out, m.miss_error_budget);
   AppendDouble(&out, m.tier_exact_p50);
   AppendDouble(&out, m.tier_exact_p99);
-  AppendDouble(&out, m.tier_approximate_p50);
-  AppendDouble(&out, m.tier_approximate_p99);
+  AppendDouble(&out, 0.0);  // reserved: older decoders read approximate p50
+  AppendDouble(&out, 0.0);  // reserved: older decoders read approximate p99
   AppendDouble(&out, m.tier_cached_p50);
   AppendDouble(&out, m.tier_cached_p99);
   return out;
@@ -514,9 +522,10 @@ StatusOr<MetricsResponse> DecodeMetricsResponse(const std::string& payload) {
   ORX_RETURN_IF_ERROR(in.reader().ReadU64(&response.rank_terms_refreshed,
                                           "rank_terms_refreshed"));
   if (!in.AtEnd()) {
+    uint64_t reserved = 0;
+    double reserved_seconds = 0.0;
     ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.tier_exact, "tier_exact"));
-    ORX_RETURN_IF_ERROR(
-        in.reader().ReadU64(&m.tier_approximate, "tier_approximate"));
+    ORX_RETURN_IF_ERROR(in.reader().ReadU64(&reserved, "reserved tier slot"));
     ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.tier_cached, "tier_cached"));
     ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.escalations, "escalations"));
     ORX_RETURN_IF_ERROR(
@@ -533,10 +542,10 @@ StatusOr<MetricsResponse> DecodeMetricsResponse(const std::string& payload) {
         in.reader().ReadDouble(&m.tier_exact_p50, "tier_exact_p50"));
     ORX_RETURN_IF_ERROR(
         in.reader().ReadDouble(&m.tier_exact_p99, "tier_exact_p99"));
-    ORX_RETURN_IF_ERROR(in.reader().ReadDouble(&m.tier_approximate_p50,
-                                               "tier_approximate_p50"));
-    ORX_RETURN_IF_ERROR(in.reader().ReadDouble(&m.tier_approximate_p99,
-                                               "tier_approximate_p99"));
+    ORX_RETURN_IF_ERROR(
+        in.reader().ReadDouble(&reserved_seconds, "reserved tier p50"));
+    ORX_RETURN_IF_ERROR(
+        in.reader().ReadDouble(&reserved_seconds, "reserved tier p99"));
     ORX_RETURN_IF_ERROR(
         in.reader().ReadDouble(&m.tier_cached_p50, "tier_cached_p50"));
     ORX_RETURN_IF_ERROR(

@@ -98,8 +98,9 @@ void AppendString(std::string* out, const std::string& s);
 /// `tier` is a trailing optional field: frames from pre-tier clients
 /// simply end after `deadline_seconds` and decode as tier 0 (auto).
 /// Encoders always write it. Values mirror core::SearchTier — 0 auto,
-/// 1 exact, 2 approximate, 3 cached; anything above 3 is rejected at
-/// decode (kDataLoss), so handlers can cast without re-checking.
+/// 1 exact, 3 cached. 2 is reserved (it was the approximate tier) and,
+/// like anything above 3, is rejected at decode (kDataLoss), so
+/// handlers can cast without re-checking.
 struct SearchRequest {
   std::string query;
   /// 0 = the server snapshot's default k.
@@ -122,11 +123,13 @@ struct WireResult {
 
 /// kSearch response.
 ///
-/// The tier block (`tier_used` through `escalated`) is trailing and
-/// optional as a group: responses from pre-tier servers end after
-/// `total_seconds` and decode to the defaults below (exact, zero error,
-/// certified — exactly what those servers computed). Encoders always
-/// write the block; a truncated block is kDataLoss, not defaults.
+/// The tier block (`tier_used`, `error_bound`, one reserved byte,
+/// `escalated`) is trailing and optional as a group: responses from
+/// pre-tier servers end after `total_seconds` and decode to the
+/// defaults below (exact, zero error — exactly what those servers
+/// computed). Encoders always write the block; a truncated block is
+/// kDataLoss, not defaults. The reserved byte was a `certified` flag
+/// that every answer set: encoders write 1, decoders skip it.
 struct SearchResponse {
   std::vector<WireResult> results;
   uint32_t iterations = 0;
@@ -136,13 +139,11 @@ struct SearchResponse {
   uint64_t snapshot_version = 0;
   double total_seconds = 0.0;
   /// Tier that actually produced the answer (core::SearchTier wire
-  /// value; an escalated approximate request reports 1, exact).
+  /// value; a kCached request that fell back reports 1, exact).
   uint8_t tier_used = 1;
   /// Certified additive L-inf bound on the returned scores (0 = exact).
   double error_bound = 0.0;
-  /// Whether the top-k set is certified identical to the exact one.
-  bool certified = true;
-  /// Whether a non-exact request fell back to the exact kernel.
+  /// Whether a kCached request fell back to the exact kernel.
   bool escalated = false;
 };
 std::string EncodeSearchResponse(const SearchResponse& response);
@@ -203,7 +204,9 @@ StatusOr<ValidateResponse> DecodeValidateResponse(
 /// zero on a read-only server). The tier block of ServeMetrics (tier
 /// counters, miss reasons, escalations, per-tier percentiles) rides at
 /// the end of the payload as one trailing optional group — pre-tier
-/// payloads decode with that block zeroed.
+/// payloads decode with that block zeroed. Three of its slots are
+/// reserved (they carried the removed approximate tier's count, p50 and
+/// p99): encoders write 0, decoders skip them.
 struct MetricsResponse {
   serve::ServeMetrics serve;
   uint64_t connections_accepted = 0;

@@ -37,7 +37,6 @@ SearchResponse ToWire(const serve::ServeResponse& response,
   wire.total_seconds = response.total_seconds;
   wire.tier_used = static_cast<uint8_t>(response.result.tier_used);
   wire.error_bound = response.result.error_bound;
-  wire.certified = response.result.certified;
   wire.escalated = response.result.escalated;
   return wire;
 }
@@ -108,8 +107,9 @@ void ServeHandler::HandleSearch(Frame frame, ResponderPtr respond) {
   serve::ServeRequest serve_request;
   serve_request.query = std::move(*query);
   serve_request.deadline_seconds = request->deadline_seconds;
-  // DecodeSearchRequest already rejected tiers above kCached, so the
-  // cast is total; auto (0) leaves the service's policy in charge.
+  // DecodeSearchRequest already rejected the reserved tier 2 and tiers
+  // above kCached, so the cast is total; auto (0) leaves the service's
+  // policy in charge.
   serve_request.tier = static_cast<core::SearchTier>(request->tier);
   if (request->k != 0) {
     core::SearchOptions options = snap->default_options;

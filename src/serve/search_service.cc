@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -57,15 +56,11 @@ void AppendOptionsKey(std::string& key, const core::SearchOptions& options) {
   AppendDouble(key, options.bm25.k1);
   AppendDouble(key, options.bm25.b);
   AppendDouble(key, options.bm25.k3);
-  // The resolved tier and the approximate-kernel knobs shape the result
-  // (approximate scores are one-sided estimates), so they must split the
-  // cache/batch keyspace — otherwise an exact request could be answered
-  // from an approximate result computed under the same numeric options.
+  // The resolved tier shapes the result (a kExact request must not be
+  // answered by a compressed cache hit, and a kCached fallback reports
+  // itself escalated), so it splits the cache/batch keyspace.
   key += "T";
   key += std::to_string(static_cast<int>(options.tier));
-  key += "|";
-  AppendDouble(key, options.approx.r_max);
-  key += std::to_string(options.approx.max_pushes);
   key += "|";
 }
 
@@ -188,27 +183,15 @@ void SearchService::SubmitInternal(ServeRequest request,
     options.objectrank.num_threads = CapIntraQueryThreads(
         options.objectrank.num_threads, pool_->num_threads());
     // Tier resolution, strongest signal first: the per-request hint, then
-    // the adaptive policy (only for requests still on kAuto). Resolved
-    // BEFORE the key is computed — the tier is part of the keyspace.
+    // the policy (only for requests still on kAuto). Resolved BEFORE the
+    // key is computed — the tier is part of the keyspace.
     if (request.tier != core::SearchTier::kAuto) {
       options.tier = request.tier;
     }
     if (options_.enable_tier_policy &&
-        options.tier == core::SearchTier::kAuto) {
-      const double headroom = has_deadline ? deadline_seconds
-                                           : std::numeric_limits<double>::max();
-      const double load =
-          options_.max_pending == 0
-              ? 0.0
-              : static_cast<double>(pending_) /
-                    static_cast<double>(options_.max_pending);
-      if (headroom < options_.tier_approx_deadline_seconds) {
-        options.tier = core::SearchTier::kCached;
-      } else if (headroom < options_.tier_exact_deadline_seconds ||
-                 load >= options_.tier_load_high) {
-        options.tier = core::SearchTier::kApproximate;
-      }
-      // else: stay kAuto — the certified-cache-or-exact path.
+        options.tier == core::SearchTier::kAuto && has_deadline &&
+        deadline_seconds < options_.tier_cached_deadline_seconds) {
+      options.tier = core::SearchTier::kCached;
     }
     const std::string suffix = RequestKeySuffix(request.query, options);
     key = VersionPrefix(version) + suffix;
@@ -478,21 +461,14 @@ void SearchService::FinishExecution(const std::string& key, uint64_t version,
     }
   } else {
     // Tier accounting keys on what actually answered (tier_used), so an
-    // escalated approximate request lands under exact — escalations_
-    // keeps the count of those separately.
-    switch (result->tier_used) {
-      case core::SearchTier::kApproximate:
-        tier_approximate_.fetch_add(1, std::memory_order_relaxed);
-        tier_latency_[1].Record(result->seconds);
-        break;
-      case core::SearchTier::kCached:
-        tier_cached_.fetch_add(1, std::memory_order_relaxed);
-        tier_latency_[2].Record(result->seconds);
-        break;
-      default:
-        tier_exact_.fetch_add(1, std::memory_order_relaxed);
-        tier_latency_[0].Record(result->seconds);
-        break;
+    // escalated kCached request lands under exact — escalations_ keeps
+    // the count of those separately.
+    if (result->tier_used == core::SearchTier::kCached) {
+      tier_cached_.fetch_add(1, std::memory_order_relaxed);
+      tier_cached_latency_.Record(result->seconds);
+    } else {
+      tier_exact_.fetch_add(1, std::memory_order_relaxed);
+      tier_exact_latency_.Record(result->seconds);
     }
     if (result->escalated) {
       escalations_.fetch_add(1, std::memory_order_relaxed);
@@ -655,7 +631,6 @@ ServeMetrics SearchService::Snapshot() const {
                 static_cast<double>(m.batches)
           : 0.0;
   m.tier_exact = tier_exact_.load(std::memory_order_relaxed);
-  m.tier_approximate = tier_approximate_.load(std::memory_order_relaxed);
   m.tier_cached = tier_cached_.load(std::memory_order_relaxed);
   m.escalations = escalations_.load(std::memory_order_relaxed);
   using core::CacheMissReason;
@@ -668,12 +643,10 @@ ServeMetrics SearchService::Snapshot() const {
   m.miss_bm25_mismatch = miss(CacheMissReason::kBm25Mismatch);
   m.miss_missing_terms = miss(CacheMissReason::kMissingTerms);
   m.miss_error_budget = miss(CacheMissReason::kErrorBudget);
-  m.tier_exact_p50 = tier_latency_[0].Percentile(50);
-  m.tier_exact_p99 = tier_latency_[0].Percentile(99);
-  m.tier_approximate_p50 = tier_latency_[1].Percentile(50);
-  m.tier_approximate_p99 = tier_latency_[1].Percentile(99);
-  m.tier_cached_p50 = tier_latency_[2].Percentile(50);
-  m.tier_cached_p99 = tier_latency_[2].Percentile(99);
+  m.tier_exact_p50 = tier_exact_latency_.Percentile(50);
+  m.tier_exact_p99 = tier_exact_latency_.Percentile(99);
+  m.tier_cached_p50 = tier_cached_latency_.Percentile(50);
+  m.tier_cached_p99 = tier_cached_latency_.Percentile(99);
   m.uptime_seconds = ToSeconds(Clock::now() - start_time_);
   m.qps = m.uptime_seconds > 0.0
               ? static_cast<double>(m.completed) / m.uptime_seconds

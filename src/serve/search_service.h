@@ -138,26 +138,16 @@ class SearchService {
     /// max_batch_size, so lightly loaded services pay at most this much
     /// added latency and saturated ones pay none.
     double max_batch_delay_ms = 2.0;
-    /// Adaptive serve-time tier policy (docs/approx_tier.md). When on,
-    /// every request whose tier is still kAuto after the per-request hint
-    /// is assigned one from its deadline headroom and the instantaneous
-    /// admission load:
-    ///   headroom <  tier_approx_deadline_seconds          -> kCached
-    ///   headroom <  tier_exact_deadline_seconds, or
-    ///     pending/max_pending >= tier_load_high            -> kApproximate
-    ///   otherwise                                          -> kAuto
-    /// (kAuto's execution path *is* the exact tier, fronted by the
-    /// certified rank-cache fast path). Requests without a deadline have
-    /// infinite headroom — only load can demote them.
+    /// Serve-time tier policy (docs/serving.md). When on, a request whose
+    /// tier is still kAuto after the per-request hint and whose deadline
+    /// is below tier_cached_deadline_seconds runs as kCached; every other
+    /// request keeps kAuto. kCached runs the same cache-or-exact path as
+    /// kAuto — the policy only relabels, so a cache miss still runs the
+    /// exact kernel and is reported as escalated. Load never changes the
+    /// tier.
     bool enable_tier_policy = false;
-    /// Headroom at or above which the policy keeps the exact path.
-    double tier_exact_deadline_seconds = 0.25;
-    /// Headroom below which even the push kernel is a gamble: prefer the
-    /// cache and accept the exact fallback tripping the deadline.
-    double tier_approx_deadline_seconds = 0.02;
-    /// pending/max_pending fraction at which the policy sheds exact work
-    /// onto the approximate tier.
-    double tier_load_high = 0.75;
+    /// Deadline below which the policy marks a kAuto request kCached.
+    double tier_cached_deadline_seconds = 0.02;
   };
 
   /// `snapshot` must be Complete(). Worker threads start immediately.
@@ -383,16 +373,15 @@ class SearchService {
   std::atomic<uint64_t> batched_queries_{0};
   std::atomic<uint64_t> batch_occupancy_max_{0};
   std::atomic<uint64_t> tier_exact_{0};
-  std::atomic<uint64_t> tier_approximate_{0};
   std::atomic<uint64_t> tier_cached_{0};
   std::atomic<uint64_t> escalations_{0};
   /// Indexed by core::CacheMissReason (kNone unused but keeps the
   /// indexing direct).
   std::array<std::atomic<uint64_t>, 6> miss_reasons_{};
   LatencyHistogram latency_;
-  /// Execution-stage latency per result tier: [0]=exact, [1]=approximate,
-  /// [2]=cached.
-  std::array<LatencyHistogram, 3> tier_latency_;
+  /// Execution-stage latency per result tier.
+  LatencyHistogram tier_exact_latency_;
+  LatencyHistogram tier_cached_latency_;
 
   /// Last member: destroyed (drained) first, so tasks never touch dead
   /// state.

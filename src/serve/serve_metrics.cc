@@ -19,7 +19,6 @@ std::string ServeMetrics::ToString() const {
          " batch_occ=" + FormatDouble(batch_occupancy_mean, 2) + "/max=" +
          std::to_string(batch_occupancy_max) +
          " tiers=" + std::to_string(tier_exact) + "e/" +
-         std::to_string(tier_approximate) + "a/" +
          std::to_string(tier_cached) + "c esc=" +
          std::to_string(escalations) + " miss=" +
          std::to_string(miss_no_cache) + "n/" +

@@ -53,14 +53,13 @@ struct ServeMetrics {
   double batch_occupancy_mean = 0.0;
 
   /// Executions answered per tier (core::SearchTier of the *result*, so
-  /// an approximate request that escalated counts under tier_exact).
+  /// a kCached request that fell back counts under tier_exact).
   /// Only successful executions count; serve-level result-cache hits are
   /// `cache_hits` above, not tiers — tier_cached is the rank-cache tier.
   uint64_t tier_exact = 0;
-  uint64_t tier_approximate = 0;
   uint64_t tier_cached = 0;
-  /// Executions where a non-exact tier was requested but could not
-  /// certify its answer, so the exact kernel ran (SearchResult::escalated).
+  /// Executions where kCached was requested but the cache could not
+  /// answer, so the exact kernel ran (SearchResult::escalated).
   uint64_t escalations = 0;
 
   /// Rank-cache miss reasons of executions (core::CacheMissReason; kNone
@@ -75,8 +74,6 @@ struct ServeMetrics {
   /// kernel, not queueing), seconds.
   double tier_exact_p50 = 0.0;
   double tier_exact_p99 = 0.0;
-  double tier_approximate_p50 = 0.0;
-  double tier_approximate_p99 = 0.0;
   double tier_cached_p50 = 0.0;
   double tier_cached_p99 = 0.0;
 

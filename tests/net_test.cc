@@ -264,16 +264,15 @@ TEST(FrameCodecTest, DecodersRejectEveryTruncation) {
   r.display_label = "A Title";
   response.results.push_back(r);
   const std::string search_payload = EncodeSearchResponse(response);
-  // Trailing tier block: tier_used u8 + error_bound f64 + certified u8
+  // Trailing tier block: tier_used u8 + error_bound f64 + reserved u8
   // + escalated u8.
   const size_t search_legacy = search_payload.size() - 11;
   for (size_t len = 0; len < search_payload.size(); ++len) {
     auto decoded = DecodeSearchResponse(search_payload.substr(0, len));
     if (len == search_legacy) {
       ASSERT_TRUE(decoded.ok());
-      EXPECT_EQ(decoded->tier_used, 1);  // defaults: exact, certified
+      EXPECT_EQ(decoded->tier_used, 1);  // defaults: exact
       EXPECT_EQ(decoded->error_bound, 0.0);
-      EXPECT_TRUE(decoded->certified);
       EXPECT_FALSE(decoded->escalated);
       continue;
     }
@@ -283,7 +282,8 @@ TEST(FrameCodecTest, DecodersRejectEveryTruncation) {
 
   const std::string metrics_payload =
       EncodeMetricsResponse(MetricsResponse{});
-  // Trailing tier block: 9 u64 counters + 6 doubles.
+  // Trailing tier block: 9 u64 counters + 6 doubles (one counter and two
+  // doubles of them reserved).
   const size_t metrics_legacy = metrics_payload.size() - (9 + 6) * 8;
   for (size_t len = 0; len < metrics_payload.size(); ++len) {
     auto decoded = DecodeMetricsResponse(metrics_payload.substr(0, len));
@@ -300,10 +300,10 @@ TEST(FrameCodecTest, SearchTierRoundTripsAndLegacyRequestDefaultsToAuto) {
   request.query = "mining";
   request.k = 10;
   request.deadline_seconds = 0.25;
-  request.tier = 2;  // approximate
+  request.tier = 3;  // cached
   auto decoded = DecodeSearchRequest(EncodeSearchRequest(request));
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->tier, 2);
+  EXPECT_EQ(decoded->tier, 3);
 
   // A pre-tier client's frame ends after the deadline field.
   const std::string full = EncodeSearchRequest(request);
@@ -311,40 +311,82 @@ TEST(FrameCodecTest, SearchTierRoundTripsAndLegacyRequestDefaultsToAuto) {
   ASSERT_TRUE(legacy.ok());
   EXPECT_EQ(legacy->tier, 0);  // auto
 
+  // Tier 2 (the removed approximate tier) is reserved: refused with a
+  // message that names it, so an older client learns why.
+  std::string reserved = full;
+  reserved.back() = 2;
+  auto refused = DecodeSearchRequest(reserved);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(refused.status().message().find("approximate"),
+            std::string::npos)
+      << refused.status();
+
   // Tier values above kCached are malformed, not future-proof.
-  std::string bad = full;
-  bad.back() = 9;
-  auto rejected = DecodeSearchRequest(bad);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss);
+  for (const int value : {4, 9}) {
+    std::string bad = full;
+    bad.back() = static_cast<char>(value);
+    auto rejected = DecodeSearchRequest(bad);
+    ASSERT_FALSE(rejected.ok()) << "tier " << value;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 TEST(FrameCodecTest, SearchResponseTierBlockRoundTrips) {
   SearchResponse response;
   response.iterations = 4;
-  response.tier_used = 2;
+  response.tier_used = 3;  // a compressed cache hit, with a live bound
   response.error_bound = 1.5e-7;
-  response.certified = true;
   response.escalated = false;
-  auto decoded = DecodeSearchResponse(EncodeSearchResponse(response));
+  const std::string payload = EncodeSearchResponse(response);
+  auto decoded = DecodeSearchResponse(payload);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->tier_used, 2);
+  EXPECT_EQ(decoded->tier_used, 3);
   EXPECT_EQ(decoded->error_bound, 1.5e-7);
-  EXPECT_TRUE(decoded->certified);
   EXPECT_FALSE(decoded->escalated);
 
+  // The reserved byte before `escalated` (once `certified`) is always
+  // written as 1, and skipped on decode whatever a peer put there.
+  ASSERT_GE(payload.size(), 2u);
+  EXPECT_EQ(payload[payload.size() - 2], 1);
+  std::string peer = payload;
+  peer[peer.size() - 2] = 0;
+  auto from_peer = DecodeSearchResponse(peer);
+  ASSERT_TRUE(from_peer.ok());
+  EXPECT_EQ(EncodeSearchResponse(*from_peer), payload);
+
   MetricsResponse metrics;
-  metrics.serve.tier_approximate = 7;
+  metrics.serve.tier_exact = 5;
+  metrics.serve.tier_cached = 7;
   metrics.serve.escalations = 2;
   metrics.serve.miss_error_budget = 3;
-  metrics.serve.tier_approximate_p50 = 0.004;
-  auto metrics_decoded =
-      DecodeMetricsResponse(EncodeMetricsResponse(metrics));
+  metrics.serve.tier_exact_p99 = 0.02;
+  metrics.serve.tier_cached_p50 = 0.004;
+  const std::string metrics_payload = EncodeMetricsResponse(metrics);
+  auto metrics_decoded = DecodeMetricsResponse(metrics_payload);
   ASSERT_TRUE(metrics_decoded.ok());
-  EXPECT_EQ(metrics_decoded->serve.tier_approximate, 7u);
+  EXPECT_EQ(metrics_decoded->serve.tier_exact, 5u);
+  EXPECT_EQ(metrics_decoded->serve.tier_cached, 7u);
   EXPECT_EQ(metrics_decoded->serve.escalations, 2u);
   EXPECT_EQ(metrics_decoded->serve.miss_error_budget, 3u);
-  EXPECT_EQ(metrics_decoded->serve.tier_approximate_p50, 0.004);
+  EXPECT_EQ(metrics_decoded->serve.tier_exact_p99, 0.02);
+  EXPECT_EQ(metrics_decoded->serve.tier_cached_p50, 0.004);
+
+  // The tier group's reserved slots — the second u64 and the third and
+  // fourth doubles — are written as zero and skipped on decode, so an
+  // older server's nonzero approximate-tier figures still parse.
+  const size_t group = metrics_payload.size() - (9 + 6) * 8;
+  const size_t reserved[] = {group + 8, group + 9 * 8 + 2 * 8,
+                             group + 9 * 8 + 3 * 8};
+  std::string older = metrics_payload;
+  for (const size_t offset : reserved) {
+    EXPECT_EQ(metrics_payload.substr(offset, 8), std::string(8, '\0'))
+        << "offset " << offset;
+    older[offset] = 0x11;
+  }
+  auto older_decoded = DecodeMetricsResponse(older);
+  ASSERT_TRUE(older_decoded.ok());
+  EXPECT_EQ(EncodeMetricsResponse(*older_decoded), metrics_payload);
 }
 
 TEST(FrameCodecTest, DecodersRejectTrailingGarbage) {

@@ -656,6 +656,91 @@ TEST(SearchServiceTest, OversizedThreadRequestsShareOneCacheKey) {
   EXPECT_EQ(service.Snapshot().executed, 1u);
 }
 
+// --- Tier policy (docs/serving.md) ------------------------------------------
+
+// Regression: the policy used to send kAuto requests to the approximate
+// push tier once pending/max_pending reached 0.75, moving work onto a
+// path measured ~10x slower than exact exactly when the service was
+// loaded. Load must never change the tier: a kAuto request submitted at
+// 3/4 admission load runs the exact path, unescalated.
+TEST(SearchServiceTierPolicyTest, LoadNeverMovesAutoOffTheExactPath) {
+  auto snap = MakeDblpSnapshot(200, 21);
+  const std::vector<std::string> terms = TopTerms(*snap->corpus, 4);
+  ASSERT_GE(terms.size(), 4u);
+  SearchService::Options options;
+  options.num_threads = 1;
+  options.max_pending = 4;
+  options.enable_tier_policy = true;
+  SearchService service(snap, options);
+
+  auto gate = std::make_shared<Gate>();
+  ServeRequest blocker = MakeRequest(terms[0]);
+  blocker.options = GatedOptions(*snap, gate);
+  auto running = service.Submit(std::move(blocker));
+  gate->WaitUntilEntered();  // occupies the only worker; pending = 1
+  auto queued1 = service.Submit(MakeRequest(terms[1]));  // pending = 2
+  auto queued2 = service.Submit(MakeRequest(terms[2]));  // pending = 3
+  auto loaded = service.Submit(MakeRequest(terms[3]));   // at 3/4 load
+
+  gate->Open();
+  EXPECT_TRUE(running.get().ok());
+  EXPECT_TRUE(queued1.get().ok());
+  EXPECT_TRUE(queued2.get().ok());
+  auto response = loaded.get();
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->result.tier_used, core::SearchTier::kExact);
+  EXPECT_FALSE(response->result.escalated);
+  EXPECT_EQ(response->result.scores, DirectSearch(*snap, terms[3]).scores);
+  const ServeMetrics m = service.Snapshot();
+  EXPECT_EQ(m.tier_exact, 4u);
+  EXPECT_EQ(m.escalations, 0u);
+}
+
+// The policy's one branch: a kAuto request whose deadline is below
+// tier_cached_deadline_seconds runs as kCached. kCached takes the same
+// cache-or-exact path as kAuto, so on a snapshot without a rank cache it
+// falls back to the exact kernel and is only reported differently: as
+// an escalation, with kNoCache as the miss reason.
+TEST(SearchServiceTierPolicyTest, ShortDeadlineRelabelsAutoAsCached) {
+  auto snap = MakeDblpSnapshot(200, 22);
+  ASSERT_TRUE(snap->rank_cache == nullptr);
+  const std::string term = TopTerms(*snap->corpus, 1).at(0);
+  SearchService::Options options;
+  options.num_threads = 1;
+  options.enable_tier_policy = true;
+  // Threshold and deadline are generous so the exact fallback cannot
+  // trip the deadline on a slow or instrumented build.
+  options.tier_cached_deadline_seconds = 60.0;
+  SearchService service(snap, options);
+
+  ServeRequest request = MakeRequest(term);
+  request.deadline_seconds = 30.0;
+  auto response = service.Search(std::move(request));
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->result.tier_used, core::SearchTier::kExact);
+  EXPECT_TRUE(response->result.escalated);
+  EXPECT_EQ(response->result.cache_miss_reason,
+            core::CacheMissReason::kNoCache);
+  EXPECT_EQ(response->result.scores, DirectSearch(*snap, term).scores);
+  ServeMetrics m = service.Snapshot();
+  EXPECT_EQ(m.escalations, 1u);
+  EXPECT_EQ(m.miss_no_cache, 1u);
+  EXPECT_EQ(m.tier_exact, 1u);
+
+  // Without a deadline the request keeps kAuto: a separate cache key,
+  // the same scores, and no escalation.
+  ServeRequest relaxed = MakeRequest(term);
+  relaxed.deadline_seconds = -1.0;
+  auto unlabelled = service.Search(std::move(relaxed));
+  ASSERT_TRUE(unlabelled.ok()) << unlabelled.status();
+  EXPECT_FALSE(unlabelled->cache_hit);
+  EXPECT_FALSE(unlabelled->result.escalated);
+  EXPECT_EQ(unlabelled->result.scores, response->result.scores);
+  m = service.Snapshot();
+  EXPECT_EQ(m.escalations, 1u);
+  EXPECT_EQ(m.tier_exact, 2u);
+}
+
 // --- Dynamic micro-batching (docs/batching.md) -----------------------------
 
 SearchService::Options BatchingOptions(size_t max_batch_size,

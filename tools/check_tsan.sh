@@ -21,6 +21,6 @@ cmake --build "$BUILD_DIR" -j \
   --target mutex_test thread_pool_test histogram_test logging_test \
            rank_cache_test concurrent_search_test serve_test net_test \
            mutate_test epoch_reclaim_test spmv_kernel_test \
-           batch_kernel_test approx_tier_test
+           batch_kernel_test cache_tier_test
 ctest --test-dir "$BUILD_DIR" -L tsan --output-on-failure
 echo "TSan suite passed."

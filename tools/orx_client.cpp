@@ -96,7 +96,7 @@ struct ClientFlags {
   uint32_t k = 10;
   uint64_t seed = 1;
   // Requested execution tier on every kSearch frame (wire value of
-  // core::SearchTier): 0 auto, 1 exact, 2 approximate, 3 cached.
+  // core::SearchTier): 0 auto, 1 exact, 3 cached.
   uint8_t tier = 0;
   std::string json_path = "BENCH_net_serve.json";
 };
@@ -111,7 +111,7 @@ int Usage(const char* argv0) {
       "          and the query mix come from the mapped corpus)\n"
       "          --score-tol T (e2e relative score tolerance; default 0\n"
       "          generated, 1e-12 with --dataset)\n"
-      "          --tier auto|exact|approx|cached (execution tier hint on\n"
+      "          --tier auto|exact|cached (execution tier hint on\n"
       "          every search frame; default auto)\n"
       "  load:   --threads N --connections N --duration SEC --pipeline N\n"
       "          --rate RPS (0 = closed loop) --churn P --zipf-terms N\n"
@@ -149,8 +149,6 @@ bool ParseFlags(int argc, char** argv, ClientFlags* flags) {
         flags->tier = 0;
       } else if (tier == "exact") {
         flags->tier = 1;
-      } else if (tier == "approx" || tier == "approximate") {
-        flags->tier = 2;
       } else if (tier == "cached") {
         flags->tier = 3;
       } else {
@@ -227,12 +225,11 @@ void PrintSearchResponse(const net::SearchResponse& response) {
   const char* tier = response.tier_used <= 3
                          ? kTierNames[response.tier_used]
                          : "?";
-  std::printf("(%u iterations%s%s%s, tier %s%s%s, %.2f ms",
+  std::printf("(%u iterations%s%s%s, tier %s%s, %.2f ms",
               response.iterations,
               response.from_rank_cache ? ", rank-cache warm start" : "",
               response.cache_hit ? ", result-cache hit" : "",
               response.coalesced ? ", coalesced" : "", tier,
-              response.certified ? "" : " UNCERTIFIED",
               response.escalated ? " escalated" : "",
               response.total_seconds * 1e3);
   if (response.error_bound > 0.0) {
@@ -502,9 +499,9 @@ int RunE2e(const ClientFlags& flags) {
               "empty query -> kInvalidArgument error frame");
   }
 
-  // Tier hints: an exact-tier request reports tier 1 with a zero bound; an
-  // approximate-tier request either certifies (same top-k node set as the
-  // exact golden, a positive finite bound) or escalates back to exact.
+  // Tier hints: an exact-tier request reports tier 1 with a zero bound;
+  // the reserved tier 2 (the removed approximate tier) is refused at
+  // decode with a kError frame naming it.
   {
     const std::string& q = queries.front();
     net::SearchRequest exact_request;
@@ -513,30 +510,17 @@ int RunE2e(const ClientFlags& flags) {
     exact_request.tier = 1;
     auto exact = client.Search(exact_request);
     E2E_CHECK(exact.ok() && exact->tier_used == 1 &&
-                  exact->error_bound == 0.0 && exact->certified,
+                  exact->error_bound == 0.0,
               "tier=exact -> tier_used 1, zero error bound");
 
-    net::SearchRequest approx_request = exact_request;
-    approx_request.tier = 2;
-    auto approx = client.Search(approx_request);
-    bool tier_ok = approx.ok();
-    if (tier_ok && approx->tier_used == 2) {
-      // Certified answer: the top-k node set must equal the exact one.
-      tier_ok = approx->certified && approx->error_bound > 0.0 &&
-                exact.ok() &&
-                approx->results.size() == exact->results.size();
-      for (size_t i = 0; tier_ok && i < approx->results.size(); ++i) {
-        bool found = false;
-        for (size_t j = 0; !found && j < exact->results.size(); ++j) {
-          found = approx->results[i].node == exact->results[j].node;
-        }
-        tier_ok = found;
-      }
-    } else if (tier_ok) {
-      tier_ok = approx->tier_used == 1 && approx->escalated;
-    }
-    E2E_CHECK(tier_ok,
-              "tier=approx -> certified top-k == exact, or escalated");
+    net::SearchRequest reserved_request = exact_request;
+    reserved_request.tier = 2;
+    auto reserved = client.Search(reserved_request);
+    E2E_CHECK(!reserved.ok() &&
+                  reserved.status().code() == StatusCode::kDataLoss &&
+                  reserved.status().message().find("approximate") !=
+                      std::string::npos,
+              "tier 2 (reserved) -> kDataLoss error frame");
   }
   {
     auto validate = client.Validate();

@@ -47,13 +47,11 @@ struct ServeFlags {
   bool mutate = false;         // enable the write path (kMutate op)
   size_t log_capacity = 1024;  // delta-log bound before kUnavailable
   size_t max_live_epochs = 8;  // publish backpressure bound
-  // Tier policy (serve/search_service.h Options): auto-tier requests are
-  // steered by deadline headroom + admission load when enabled.
+  // Tier policy (serve/search_service.h Options): when enabled, an
+  // auto-tier request with a deadline below tier_cached_deadline runs as
+  // kCached.
   bool tier_policy = false;
-  double tier_exact_deadline = 0.25;
-  double tier_approx_deadline = 0.02;
-  double tier_load_high = 0.75;
-  double approx_rmax = 0.0;  // > 0 overrides the snapshot's default r_max
+  double tier_cached_deadline = 0.02;
 };
 
 int Usage(const char* argv0) {
@@ -64,9 +62,7 @@ int Usage(const char* argv0) {
       "          [--threads N] [--max-pending N] [--cache-entries N]\n"
       "          [--batch N] [--idle-timeout SEC] [--drain-timeout SEC]\n"
       "          [--mutate] [--log-capacity N] [--max-live-epochs N]\n"
-      "          [--tier-policy] [--tier-exact-deadline SEC]\n"
-      "          [--tier-approx-deadline SEC] [--tier-load-high F]\n"
-      "          [--approx-rmax R]\n"
+      "          [--tier-policy] [--tier-cached-deadline SEC]\n"
       "Serves the ORXN protocol (search/explain/reformulate/validate/\n"
       "metrics/ping) over a generated DBLP dataset, or — with --dataset —\n"
       "over an ORXD2 container attached zero-copy via mmap (optionally\n"
@@ -75,10 +71,10 @@ int Usage(const char* argv0) {
       "--mutate enables the write path: kMutate frames append to a delta\n"
       "log consumed by a background snapshot builder (without it the\n"
       "server is read-only); it requires a generated dataset, not\n"
-      "--dataset. --tier-policy steers tier-auto searches by deadline\n"
-      "headroom and admission load (exact / approximate / cached; see\n"
-      "docs/approx_tier.md); --approx-rmax sets the push kernel's\n"
-      "residual threshold. Runs until SIGTERM/SIGINT, then drains.\n",
+      "--dataset. --tier-policy marks tier-auto searches whose deadline\n"
+      "is below --tier-cached-deadline as tier cached (the same\n"
+      "cache-or-exact path, reported as escalated on a cache miss; see\n"
+      "docs/serving.md). Runs until SIGTERM/SIGINT, then drains.\n",
       argv0);
   return 2;
 }
@@ -118,14 +114,8 @@ bool ParseFlags(int argc, char** argv, ServeFlags* flags) {
       flags->mutate = true;
     } else if (arg == "--tier-policy") {
       flags->tier_policy = true;
-    } else if (arg == "--tier-exact-deadline" && (v = value())) {
-      flags->tier_exact_deadline = std::atof(v);
-    } else if (arg == "--tier-approx-deadline" && (v = value())) {
-      flags->tier_approx_deadline = std::atof(v);
-    } else if (arg == "--tier-load-high" && (v = value())) {
-      flags->tier_load_high = std::atof(v);
-    } else if (arg == "--approx-rmax" && (v = value())) {
-      flags->approx_rmax = std::atof(v);
+    } else if (arg == "--tier-cached-deadline" && (v = value())) {
+      flags->tier_cached_deadline = std::atof(v);
     } else if (arg == "--log-capacity" && (v = value())) {
       flags->log_capacity = static_cast<size_t>(std::atoi(v));
     } else if (arg == "--max-live-epochs" && (v = value())) {
@@ -191,26 +181,17 @@ int main(int argc, char** argv) {
                 build_timer.ElapsedSeconds(), dataset.description.c_str());
   }
 
-  if (flags.approx_rmax > 0.0) {
-    dataset.snapshot->default_options.approx.r_max = flags.approx_rmax;
-  }
-
   serve::SearchService::Options service_options;
   service_options.num_threads = flags.threads;
   service_options.max_pending = flags.max_pending;
   service_options.result_cache_entries = flags.cache_entries;
   service_options.max_batch_size = flags.batch;
   service_options.enable_tier_policy = flags.tier_policy;
-  service_options.tier_exact_deadline_seconds = flags.tier_exact_deadline;
-  service_options.tier_approx_deadline_seconds = flags.tier_approx_deadline;
-  service_options.tier_load_high = flags.tier_load_high;
+  service_options.tier_cached_deadline_seconds = flags.tier_cached_deadline;
   serve::SearchService service(dataset.snapshot, service_options);
   if (flags.tier_policy) {
-    std::printf("orx_serve: tier policy on (exact<%.3fs approx<%.3fs "
-                "load_high=%.2f, r_max=%g)\n",
-                flags.tier_exact_deadline, flags.tier_approx_deadline,
-                flags.tier_load_high,
-                dataset.snapshot->default_options.approx.r_max);
+    std::printf("orx_serve: tier policy on (cached<%.3fs)\n",
+                flags.tier_cached_deadline);
   }
   net::ServeHandler handler(&service);
 
@@ -319,12 +300,11 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(metrics.executed),
       metrics.latency_p50 * 1e3, metrics.latency_p99 * 1e3);
   std::printf(
-      "orx_serve: tiers exact=%llu approx=%llu cached=%llu "
-      "escalations=%llu | approx p50=%.2fms exact p50=%.2fms\n",
+      "orx_serve: tiers exact=%llu cached=%llu escalations=%llu | "
+      "exact p50=%.2fms cached p50=%.2fms\n",
       static_cast<unsigned long long>(metrics.tier_exact),
-      static_cast<unsigned long long>(metrics.tier_approximate),
       static_cast<unsigned long long>(metrics.tier_cached),
       static_cast<unsigned long long>(metrics.escalations),
-      metrics.tier_approximate_p50 * 1e3, metrics.tier_exact_p50 * 1e3);
+      metrics.tier_exact_p50 * 1e3, metrics.tier_cached_p50 * 1e3);
   return 0;
 }
