@@ -13,12 +13,13 @@ namespace orx::net {
 namespace {
 
 /// Renders the service's ServeResponse (plus labels resolved against the
-/// snapshot) into the wire shape.
-SearchResponse ToWire(const serve::ServeResponse& response,
-                      const serve::ServeSnapshot& snap) {
+/// snapshot it was admitted with) into the wire shape.
+SearchResponse ToWire(const serve::ServeResponse& response) {
+  const serve::ServeSnapshot& snap = *response.snapshot;
+  const core::SearchResult& result = *response.result;
   SearchResponse wire;
-  wire.results.reserve(response.result.top.size());
-  for (const core::ScoredNode& r : response.result.top) {
+  wire.results.reserve(result.top.size());
+  for (const core::ScoredNode& r : result.top) {
     WireResult row;
     row.node = r.node;
     row.score = r.score;
@@ -29,16 +30,24 @@ SearchResponse ToWire(const serve::ServeResponse& response,
     }
     wire.results.push_back(std::move(row));
   }
-  wire.iterations = static_cast<uint32_t>(response.result.iterations);
-  wire.from_rank_cache = response.result.from_cache;
+  wire.iterations = static_cast<uint32_t>(result.iterations);
+  wire.from_rank_cache = result.from_cache;
   wire.cache_hit = response.cache_hit;
   wire.coalesced = response.coalesced;
   wire.snapshot_version = response.snapshot_version;
   wire.total_seconds = response.total_seconds;
-  wire.tier_used = static_cast<uint8_t>(response.result.tier_used);
-  wire.error_bound = response.result.error_bound;
-  wire.escalated = response.result.escalated;
+  wire.tier_used = static_cast<uint8_t>(result.tier_used);
+  wire.error_bound = result.error_bound;
+  wire.escalated = result.escalated;
   return wire;
+}
+
+/// A stage's failure sink: answers the frame with a kError carrying the
+/// status (kUnavailable, kDeadlineExceeded, or the search's error).
+serve::SearchService::Failure SendError(ResponderPtr respond, uint64_t id) {
+  return [respond = std::move(respond), id](const Status& status) {
+    respond->Send(EncodeErrorFrame(id, status));
+  };
 }
 
 /// Decodes a query string into a QueryVector, mapping emptiness to
@@ -103,30 +112,24 @@ void ServeHandler::HandleSearch(Frame frame, ResponderPtr respond) {
     respond->Send(EncodeErrorFrame(id, query.status()));
     return;
   }
-  auto snap = service_->snapshot();
   serve::ServeRequest serve_request;
   serve_request.query = std::move(*query);
+  serve_request.k = request->k;
   serve_request.deadline_seconds = request->deadline_seconds;
   // DecodeSearchRequest already rejected the reserved tier 2 and tiers
   // above kCached, so the cast is total; auto (0) leaves the service's
   // policy in charge.
   serve_request.tier = static_cast<core::SearchTier>(request->tier);
-  if (request->k != 0) {
-    core::SearchOptions options = snap->default_options;
-    options.k = request->k;
-    serve_request.options = options;
-  }
   service_->SubmitAsync(
       std::move(serve_request),
-      [respond = std::move(respond), id,
-       snap = std::move(snap)](StatusOr<serve::ServeResponse> response) {
+      [respond = std::move(respond),
+       id](StatusOr<serve::ServeResponse> response) {
         if (!response.ok()) {
           respond->Send(EncodeErrorFrame(id, response.status()));
           return;
         }
-        respond->Send(EncodeFrame(
-            Op::kSearch, id,
-            EncodeSearchResponse(ToWire(*response, *snap))));
+        respond->Send(EncodeFrame(Op::kSearch, id,
+                                  EncodeSearchResponse(ToWire(*response))));
       });
 }
 
@@ -142,23 +145,20 @@ void ServeHandler::HandleExplain(Frame frame, ResponderPtr respond) {
     respond->Send(EncodeErrorFrame(id, query.status()));
     return;
   }
-  auto snap = service_->snapshot();
   const uint32_t target_rank = request->target_rank;
   serve::ServeRequest serve_request;
   serve_request.query = *query;
   // The search result (scores + top list) feeds the explainer; repeats
   // of the same query hit the service's result cache, so "search then
-  // explain rank 2, then rank 3" pays one power iteration total.
-  service_->SubmitAsync(
+  // explain rank 2, then rank 3" pays one power iteration total. The
+  // explainer itself runs as a stage on a pool worker, never on this
+  // loop thread.
+  service_->SubmitStage(
       std::move(serve_request),
-      [respond = std::move(respond), id, snap = std::move(snap),
-       query = std::move(*query),
-       target_rank](StatusOr<serve::ServeResponse> response) {
-        if (!response.ok()) {
-          respond->Send(EncodeErrorFrame(id, response.status()));
-          return;
-        }
-        const auto& top = response->result.top;
+      [respond, id, query = std::move(*query),
+       target_rank](const serve::ServeResponse& response) {
+        const auto& snap = response.snapshot;
+        const auto& top = response.result->top;
         if (target_rank == 0 || target_rank > top.size()) {
           respond->Send(EncodeErrorFrame(
               id, InvalidArgumentError(
@@ -175,7 +175,7 @@ void ServeHandler::HandleExplain(Frame frame, ResponderPtr respond) {
         }
         explain::Explainer explainer(*snap->data, *snap->authority);
         auto explanation = explainer.Explain(
-            top[target_rank - 1].node, *base, response->result.scores,
+            top[target_rank - 1].node, *base, response.result->scores,
             snap->rates, snap->default_options.objectrank.damping,
             explain::ExplainOptions{});
         if (!explanation.ok()) {
@@ -189,7 +189,8 @@ void ServeHandler::HandleExplain(Frame frame, ResponderPtr respond) {
         wire.adjustment_seconds = explanation->adjustment_seconds;
         respond->Send(
             EncodeFrame(Op::kExplain, id, EncodeExplainResponse(wire)));
-      });
+      },
+      SendError(respond, id));
 }
 
 void ServeHandler::HandleReformulate(Frame frame, ResponderPtr respond) {
@@ -210,19 +211,15 @@ void ServeHandler::HandleReformulate(Frame frame, ResponderPtr respond) {
     respond->Send(EncodeErrorFrame(id, query.status()));
     return;
   }
-  auto snap = service_->snapshot();
   serve::ServeRequest serve_request;
   serve_request.query = *query;
-  service_->SubmitAsync(
+  service_->SubmitStage(
       std::move(serve_request),
-      [respond = std::move(respond), id, snap = std::move(snap),
-       query = std::move(*query), ranks = std::move(request->feedback_ranks)](
-          StatusOr<serve::ServeResponse> response) {
-        if (!response.ok()) {
-          respond->Send(EncodeErrorFrame(id, response.status()));
-          return;
-        }
-        const auto& top = response->result.top;
+      [respond, id, query = std::move(*query),
+       ranks = std::move(request->feedback_ranks)](
+          const serve::ServeResponse& response) {
+        const auto& snap = response.snapshot;
+        const auto& top = response.result->top;
         std::vector<graph::NodeId> feedback;
         feedback.reserve(ranks.size());
         for (uint32_t rank : ranks) {
@@ -245,7 +242,7 @@ void ServeHandler::HandleReformulate(Frame frame, ResponderPtr respond) {
         reform::Reformulator reformulator(*snap->data, *snap->authority,
                                           *snap->corpus);
         auto result = reformulator.Reformulate(
-            query, snap->rates, *base, response->result.scores, feedback,
+            query, snap->rates, *base, response.result->scores, feedback,
             reform::ReformulationOptions{});
         if (!result.ok()) {
           respond->Send(EncodeErrorFrame(id, result.status()));
@@ -257,7 +254,8 @@ void ServeHandler::HandleReformulate(Frame frame, ResponderPtr respond) {
         wire.reformulation_seconds = result->reformulation_seconds;
         respond->Send(EncodeFrame(Op::kReformulate, id,
                                   EncodeReformulateResponse(wire)));
-      });
+      },
+      SendError(respond, id));
 }
 
 void ServeHandler::HandleValidate(const Frame& frame,

@@ -19,13 +19,17 @@ namespace orx::net {
 /// One instance serves every connection; it owns no mutable state beyond
 /// the wiring, so Handle() is safe from any worker loop concurrently.
 ///
-/// Threading: cheap ops (ping, metrics, validate) answer synchronously
-/// on the worker loop thread. search/explain/reformulate go through
-/// SearchService::SubmitAsync, so the loop thread never blocks on a
-/// power iteration — the completion callback (service pool thread) does
-/// the explain/reformulate stage work and encodes the response there.
-/// Admission rejections surface as kError frames carrying kUnavailable:
-/// under overload every frame is still *answered* (load shedding is an
+/// Threading: loop threads only decode, look up and encode. Cheap ops
+/// (ping, metrics, validate, mutate) answer synchronously on the worker
+/// loop thread. kSearch goes through SearchService::SubmitAsync: a
+/// result-cache hit is encoded on the loop, and a miss is encoded by the
+/// service pool thread that executed it. kExplain and kReformulate go
+/// through SearchService::SubmitStage, so the explainer and the
+/// reformulator always run on a pool worker — also when their search is
+/// a cache hit — inside an admission slot and under the request's
+/// deadline. Admission rejections surface as kError frames carrying
+/// kUnavailable, and an expired deadline as kDeadlineExceeded: under
+/// overload every frame is still *answered* (load shedding is an
 /// answer), which is what the load client's zero-dropped-frames
 /// accounting measures.
 class ServeHandler {

@@ -128,6 +128,9 @@ SearchService::~SearchService() {
     open_batches_.clear();
   }
   // Drain before any other member dies: tasks touch the maps and metrics.
+  // Wait() first, with pool_ still set: a finishing execution may submit
+  // its stage as a further task.
+  pool_->Wait();
   pool_.reset();
 }
 
@@ -146,6 +149,14 @@ void SearchService::SubmitAsync(ServeRequest request, Callback done) {
   SubmitInternal(std::move(request), std::move(completion));
 }
 
+void SearchService::SubmitStage(ServeRequest request, Stage stage,
+                                Failure fail) {
+  auto completion = std::make_shared<Completion>();
+  completion->stage = std::move(stage);
+  completion->fail = std::move(fail);
+  SubmitInternal(std::move(request), std::move(completion));
+}
+
 void SearchService::SubmitInternal(ServeRequest request,
                                    CompletionPtr completion) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
@@ -161,6 +172,7 @@ void SearchService::SubmitInternal(ServeRequest request,
           ? submit_time + std::chrono::duration_cast<Clock::duration>(
                               std::chrono::duration<double>(deadline_seconds))
           : Clock::time_point::max();
+  completion->deadline = deadline;
 
   enum class Action { kHit, kCoalesce, kReject, kLead, kJoinBatch,
                       kLeadBatch };
@@ -182,6 +194,7 @@ void SearchService::SubmitInternal(ServeRequest request,
     // iteration within the machine share its execution slot represents.
     options.objectrank.num_threads = CapIntraQueryThreads(
         options.objectrank.num_threads, pool_->num_threads());
+    if (request.k != 0) options.k = request.k;
     // Tier resolution, strongest signal first: the per-request hint, then
     // the policy (only for requests still on kAuto). Resolved BEFORE the
     // key is computed — the tier is part of the keyspace.
@@ -196,9 +209,23 @@ void SearchService::SubmitInternal(ServeRequest request,
     const std::string suffix = RequestKeySuffix(request.query, options);
     key = VersionPrefix(version) + suffix;
 
-    if (LookupCacheLocked(suffix, hit)) {
+    // A stage only takes a result computed against the snapshot it will
+    // run on, so it never probes the versions retained behind it.
+    const bool stage = completion->is_stage();
+    const bool cached = LookupCacheLocked(
+        suffix, stage ? 1 : options_.result_cache_versions, hit);
+    const auto flight = cached ? flights_.end() : flights_.find(key);
+    const bool executes = !cached && flight == flights_.end();
+    // An execution takes an admission slot, and so does a stage — one
+    // slot, which also covers the execution a stage's cache miss leads.
+    if ((stage || executes) && pending_ >= options_.max_pending) {
+      action = Action::kReject;
+    } else if (cached) {
+      if (stage) ++pending_;
+      hit.snapshot = snap;
       action = Action::kHit;
-    } else if (auto flight = flights_.find(key); flight != flights_.end()) {
+    } else if (!executes) {
+      if (stage) ++pending_;
       // Count the coalesce *before* the waiter is published (still under
       // mu_): the leader may deliver this waiter's completion the moment
       // the lock drops, and a metrics snapshot taken then must already
@@ -207,8 +234,6 @@ void SearchService::SubmitInternal(ServeRequest request,
       coalesced_.fetch_add(1, std::memory_order_relaxed);
       flight->second->waiters.push_back(Waiter{completion, submit_time});
       action = Action::kCoalesce;
-    } else if (pending_ >= options_.max_pending) {
-      action = Action::kReject;
     } else {
       ++pending_;
       if (options_.single_flight) {
@@ -266,12 +291,18 @@ void SearchService::SubmitInternal(ServeRequest request,
       break;
     case Action::kCoalesce:
       break;  // counted under mu_ above; the leader fulfills us
-    case Action::kReject:
+    case Action::kReject: {
       rejected_.fetch_add(1, std::memory_order_relaxed);
-      completion->Deliver(UnavailableError(
+      Status unavailable = UnavailableError(
           "admission queue full (" + std::to_string(options_.max_pending) +
-          " executions pending)"));
+          " executions pending)");
+      if (completion->is_stage()) {
+        completion->fail(unavailable);
+      } else {
+        completion->Deliver(std::move(unavailable));
+      }
       break;
+    }
     case Action::kLead:
       pool_->Submit([this, key = std::move(key), request = std::move(request),
                      snap = std::move(snap), version, options, completion,
@@ -337,8 +368,8 @@ void SearchService::Execute(std::string key, ServeRequest request,
     result = searcher.Search(request.query, snapshot->rates, options);
   }
 
-  FinishExecution(key, version, result, completion, submit_time,
-                  queue_seconds, /*batch_lanes=*/0);
+  FinishExecution(key, snapshot, version, std::move(result), completion,
+                  submit_time, queue_seconds, /*batch_lanes=*/0);
 }
 
 void SearchService::ExecuteBatch(std::shared_ptr<PendingBatch> batch,
@@ -384,11 +415,12 @@ void SearchService::RunBatch(const std::shared_ptr<PendingBatch>& batch,
     BatchLane& lane = lanes[i];
     if (lane.has_deadline && start >= lane.deadline) {
       const double queue_seconds = ToSeconds(start - lane.submit_time);
-      const StatusOr<core::SearchResult> expired = DeadlineExceededError(
-          "deadline expired while queued (" + std::to_string(queue_seconds) +
-          "s)");
-      FinishExecution(lane.key, batch->version, expired, lane.completion,
-                      lane.submit_time, queue_seconds, /*batch_lanes=*/0);
+      FinishExecution(lane.key, batch->snapshot, batch->version,
+                      DeadlineExceededError("deadline expired while queued (" +
+                                            std::to_string(queue_seconds) +
+                                            "s)"),
+                      lane.completion, lane.submit_time, queue_seconds,
+                      /*batch_lanes=*/0);
     } else {
       live.push_back(i);
     }
@@ -427,7 +459,7 @@ void SearchService::RunBatch(const std::shared_ptr<PendingBatch>& batch,
   if (snapshot->fused_cache != nullptr) {
     searcher.AttachFusedCache(snapshot->fused_cache);
   }
-  const std::vector<StatusOr<core::SearchResult>> results =
+  std::vector<StatusOr<core::SearchResult>> results =
       searcher.SearchBatch(requests, snapshot->rates, batch->options);
 
   batches_.fetch_add(1, std::memory_order_relaxed);
@@ -440,18 +472,17 @@ void SearchService::RunBatch(const std::shared_ptr<PendingBatch>& batch,
 
   for (size_t k = 0; k < live.size(); ++k) {
     BatchLane& lane = lanes[live[k]];
-    FinishExecution(lane.key, batch->version, results[k], lane.completion,
-                    lane.submit_time, ToSeconds(start - lane.submit_time),
-                    live.size());
+    FinishExecution(lane.key, snapshot, batch->version, std::move(results[k]),
+                    lane.completion, lane.submit_time,
+                    ToSeconds(start - lane.submit_time), live.size());
   }
 }
 
-void SearchService::FinishExecution(const std::string& key, uint64_t version,
-                                    const StatusOr<core::SearchResult>& result,
-                                    const CompletionPtr& completion,
-                                    Clock::time_point submit_time,
-                                    double queue_seconds,
-                                    size_t batch_lanes) {
+void SearchService::FinishExecution(
+    const std::string& key,
+    const std::shared_ptr<const ServeSnapshot>& snapshot, uint64_t version,
+    StatusOr<core::SearchResult> result, const CompletionPtr& completion,
+    Clock::time_point submit_time, double queue_seconds, size_t batch_lanes) {
   executed_.fetch_add(1, std::memory_order_relaxed);
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kDeadlineExceeded) {
@@ -479,10 +510,18 @@ void SearchService::FinishExecution(const std::string& key, uint64_t version,
     }
   }
 
+  // One immutable copy of the result, shared by the cache, the leader,
+  // and every waiter.
+  std::shared_ptr<const core::SearchResult> shared;
+  if (result.ok()) {
+    shared = std::make_shared<const core::SearchResult>(std::move(*result));
+  }
+
   std::vector<Waiter> waiters;
   {
     MutexLock lock(mu_);
-    --pending_;
+    // A stage leader's slot stays taken: its stage runs under it next.
+    if (!completion->is_stage()) --pending_;
     if (auto it = flights_.find(key); it != flights_.end()) {
       waiters = std::move(it->second->waiters);
       flights_.erase(it);
@@ -493,21 +532,24 @@ void SearchService::FinishExecution(const std::string& key, uint64_t version,
     // swap already aged out stay uncached — their keyspace is dead.
     const uint64_t keep =
         std::max<uint64_t>(1, options_.result_cache_versions);
-    if (result.ok() && version <= version_ && version_ - version < keep) {
-      CacheResultLocked(key, version, *result);
+    if (shared != nullptr && version <= version_ && version_ - version < keep) {
+      CacheResultLocked(key, version, shared);
     }
   }
 
-  if (result.ok()) {
+  if (shared != nullptr) {
     ServeResponse response;
-    response.result = *result;
+    response.result = shared;
+    response.snapshot = snapshot;
     response.snapshot_version = version;
     response.queue_seconds = queue_seconds;
     response.batch_lanes = batch_lanes;
     Fulfill(completion, std::move(response), submit_time);
+    // Waiters share the leader's key, hence its version and snapshot.
     for (Waiter& w : waiters) {
       ServeResponse echoed;
-      echoed.result = *result;
+      echoed.result = shared;
+      echoed.snapshot = snapshot;
       echoed.coalesced = true;
       echoed.snapshot_version = version;
       echoed.batch_lanes = batch_lanes;
@@ -535,15 +577,48 @@ void SearchService::Fulfill(const CompletionPtr& completion,
   // holds in every cut.
   latency_.Record(total);
   completed_.fetch_add(1, std::memory_order_release);
-  completion->Deliver(std::move(response));
+  if (completion->is_stage()) {
+    DispatchStage(completion, std::move(response));
+  } else {
+    completion->Deliver(std::move(response));
+  }
+}
+
+void SearchService::DispatchStage(const CompletionPtr& completion,
+                                  ResponseOr response) {
+  if (!response.ok()) {
+    completion->fail(response.status());
+    ReleaseSlot();
+    return;
+  }
+  pool_->Submit([this, completion, response = std::move(*response)] {
+    RunStage(completion, response);
+  });
+}
+
+void SearchService::RunStage(const CompletionPtr& completion,
+                             const ServeResponse& response) {
+  if (Clock::now() >= completion->deadline) {
+    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+    completion->fail(
+        DeadlineExceededError("deadline expired before the stage started"));
+  } else {
+    completion->stage(response);
+  }
+  ReleaseSlot();
+}
+
+void SearchService::ReleaseSlot() {
+  MutexLock lock(mu_);
+  --pending_;
 }
 
 bool SearchService::LookupCacheLocked(const std::string& suffix,
-                                      ServeResponse& hit) {
+                                      uint64_t versions, ServeResponse& hit) {
   // Probe newest-first so a request always prefers the freshest retained
   // result for its query; older versions only answer when the current one
   // has no entry yet (the window right after a hot swap).
-  const uint64_t keep = std::max<uint64_t>(1, options_.result_cache_versions);
+  const uint64_t keep = std::max<uint64_t>(1, versions);
   for (uint64_t back = 0; back < keep && back < version_; ++back) {
     const std::string probe = VersionPrefix(version_ - back) + suffix;
     if (auto it = cached_.find(probe); it != cached_.end()) {
@@ -557,15 +632,15 @@ bool SearchService::LookupCacheLocked(const std::string& suffix,
   return false;
 }
 
-void SearchService::CacheResultLocked(const std::string& key,
-                                      uint64_t version,
-                                      const core::SearchResult& result) {
+void SearchService::CacheResultLocked(
+    const std::string& key, uint64_t version,
+    std::shared_ptr<const core::SearchResult> result) {
   if (options_.result_cache_entries == 0) return;
   if (auto it = cached_.find(key); it != cached_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
     return;  // a coalesced burst already cached this key
   }
-  lru_.push_front(CachedResult{key, version, result});
+  lru_.push_front(CachedResult{key, version, std::move(result)});
   cached_[key] = lru_.begin();
   while (lru_.size() > options_.result_cache_entries) {
     cached_.erase(lru_.back().key);

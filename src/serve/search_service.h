@@ -30,6 +30,11 @@ struct ServeRequest {
   /// numeric option fields participate in the result-cache key, so two
   /// requests only share work when their options agree.
   std::optional<core::SearchOptions> options;
+  /// Per-request result-count hint: nonzero overrides the effective
+  /// options' k (whether they came from `options` or the snapshot
+  /// defaults), so a caller can size the top list without reading a
+  /// snapshot of its own.
+  size_t k = 0;
   /// End-to-end budget in seconds, measured from Submit() — queue time
   /// counts against it. 0 = the service default; a negative value
   /// disables the deadline for this request.
@@ -43,7 +48,16 @@ struct ServeRequest {
 
 /// What a fulfilled request carries.
 struct ServeResponse {
-  core::SearchResult result;
+  /// The search result: immutable, and shared with the result cache and
+  /// with every request it answered, so handing it on costs a refcount,
+  /// never a copy of its n-entry score vector.
+  std::shared_ptr<const core::SearchResult> result;
+  /// The snapshot the request was admitted with; render node labels from
+  /// it. `result` was computed against it, except that a plain search may
+  /// be answered from a cache entry retained from an older version
+  /// (snapshot_version says which; node ids only ever grow, so every node
+  /// in such a result exists here). A stage never is (SubmitStage).
+  std::shared_ptr<const ServeSnapshot> snapshot;
   /// Served from a completed result-cache entry (no execution).
   bool cache_hit = false;
   /// Waited on an identical in-flight execution (single flight).
@@ -69,7 +83,7 @@ struct ServeResponse {
 /// Submit() fails fast with kUnavailable instead of queueing unboundedly —
 /// under overload the caller sheds load instead of building an invisible
 /// latency backlog. Cache hits and coalesced requests bypass admission
-/// (they consume no execution slot).
+/// (they consume no execution slot), except a stage's (SubmitStage).
 ///
 /// Identical concurrent queries are collapsed to a single execution
 /// ("single flight"): the first request becomes the leader, later ones
@@ -95,6 +109,11 @@ struct ServeResponse {
 /// discarded). Requests still queued when their deadline expires fail
 /// without executing.
 ///
+/// Work too heavy for the caller's thread (the network front end's
+/// explain and reformulate) runs as a *stage* (SubmitStage): the
+/// request's search resolves as above, then the stage runs on a pool
+/// worker inside one admission slot and under the request's deadline.
+///
 /// With Options::max_batch_size > 1 the service additionally runs a
 /// dynamic micro-batch scheduler: admitted cache-miss executions whose
 /// snapshot version, rates fingerprint, and numeric options agree collect
@@ -108,8 +127,9 @@ class SearchService {
   struct Options {
     /// Worker threads; 0 = one per hardware thread.
     size_t num_threads = 0;
-    /// Admission bound: maximum executions admitted but not yet finished
-    /// (running + queued). Beyond it Submit() returns kUnavailable.
+    /// Admission bound: maximum executions and stages admitted but not
+    /// yet finished (running + queued). Beyond it Submit() returns
+    /// kUnavailable.
     size_t max_pending = 64;
     /// Completed-result LRU capacity in entries; 0 disables result
     /// caching (single-flight coalescing is controlled separately).
@@ -176,8 +196,40 @@ class SearchService {
   /// Submit time (cache hits, admission rejections), otherwise on the
   /// pool thread that completes the execution. It runs outside the
   /// service mutex, so it may re-enter the service, but it occupies its
-  /// worker while it runs — keep it short (hand heavy work elsewhere).
+  /// worker while it runs — keep it short; heavy work over the result
+  /// belongs in SubmitStage.
   void SubmitAsync(ServeRequest request, Callback done);
+
+  /// The work of a stage request, given the request's resolved search.
+  using Stage = std::function<void(const ServeResponse& response)>;
+  /// Receives a stage request's failure; its Stage then never runs.
+  using Failure = std::function<void(const Status& status)>;
+
+  /// Runs `stage` over the request's search result on a pool worker: the
+  /// entry point for work too heavy for the caller's thread. The search
+  /// resolves exactly as in SubmitAsync — result cache, single flight,
+  /// admission, execution. Then:
+  ///  - `stage` always runs on a pool worker, also on a cache hit; never
+  ///    on the submitting thread.
+  ///  - The request holds one admission slot from submission until its
+  ///    stage returns, so the slot covers the wait for the pool and the
+  ///    stage itself (and a cache miss's execution before them). If no
+  ///    slot is free, `fail` gets kUnavailable synchronously, before
+  ///    SubmitStage returns, and ServeMetrics::rejected counts it.
+  ///  - The deadline is the request's own, or
+  ///    Options::default_deadline_seconds if it has none. It is measured
+  ///    from submission and checked when the stage is about to start;
+  ///    past it, `fail` gets kDeadlineExceeded instead.
+  ///  - A stage that has started runs to completion: there is no
+  ///    cancellation hook.
+  ///  - `response.result` was computed against `response.snapshot`, the
+  ///    snapshot the request was admitted with. A cache entry retained
+  ///    from an older version (Options::result_cache_versions) is never
+  ///    used; the search executes, or coalesces, on the admitted
+  ///    snapshot instead.
+  /// Exactly one of `stage` and `fail` runs. Search errors reach `fail`
+  /// on the pool worker that resolved the search.
+  void SubmitStage(ServeRequest request, Stage stage, Failure fail);
 
   /// Blocking convenience: Submit(request).get().
   StatusOr<ServeResponse> Search(ServeRequest request);
@@ -218,12 +270,23 @@ class SearchService {
   using Clock = std::chrono::steady_clock;
   using ResponseOr = StatusOr<ServeResponse>;
 
-  /// How one request's outcome is delivered: a promise (Submit) or a
-  /// callback (SubmitAsync). Exactly one delivery happens per request.
+  /// How one request's outcome is delivered: a promise (Submit), a
+  /// callback (SubmitAsync), or a stage and its failure sink
+  /// (SubmitStage). Exactly one delivery happens per request.
   struct Completion {
     std::optional<std::promise<ResponseOr>> promise;
     Callback callback;
+    Stage stage;
+    Failure fail;
+    /// When a stage may no longer start (SubmitStage).
+    Clock::time_point deadline = Clock::time_point::max();
 
+    /// A stage request holds one admission slot from admission until its
+    /// stage (or failure) has run; see RunStage.
+    bool is_stage() const { return stage != nullptr; }
+
+    /// Delivers to a promise or callback; stage requests go through
+    /// DispatchStage instead.
     void Deliver(ResponseOr response) {
       if (callback) {
         callback(std::move(response));
@@ -249,7 +312,7 @@ class SearchService {
   struct CachedResult {
     std::string key;
     uint64_t snapshot_version = 0;
-    core::SearchResult result;
+    std::shared_ptr<const core::SearchResult> result;
   };
 
   /// One admitted cache-miss execution waiting in a batch window. Keeps
@@ -291,11 +354,11 @@ class SearchService {
   static std::string RequestKeySuffix(const text::QueryVector& query,
                                       const core::SearchOptions& options);
 
-  /// Probes the result cache for `suffix` under every retained snapshot
-  /// version, newest first (caller holds mu_). On a hit promotes the
-  /// entry, fills `hit`, and returns true.
-  bool LookupCacheLocked(const std::string& suffix, ServeResponse& hit)
-      ORX_REQUIRES(mu_);
+  /// Probes the result cache for `suffix` under the newest `versions`
+  /// retained snapshot versions, newest first (caller holds mu_). On a
+  /// hit promotes the entry, fills `hit`, and returns true.
+  bool LookupCacheLocked(const std::string& suffix, uint64_t versions,
+                         ServeResponse& hit) ORX_REQUIRES(mu_);
 
   /// The batch-compatibility fingerprint: RequestKey minus the query
   /// terms, plus the snapshot's transfer-rates fingerprint. Two
@@ -326,11 +389,13 @@ class SearchService {
   void RunBatch(const std::shared_ptr<PendingBatch>& batch,
                 std::vector<BatchLane> lanes);
 
-  /// Completes one admitted execution: error counters, slot release,
-  /// single-flight waiter resolution, result caching, and fulfillment.
-  /// Shared tail of Execute() and RunBatch().
-  void FinishExecution(const std::string& key, uint64_t version,
-                       const StatusOr<core::SearchResult>& result,
+  /// Completes one admitted execution: error counters, slot release
+  /// (a stage leader keeps its slot for its stage), single-flight waiter
+  /// resolution, result caching, and fulfillment. Shared tail of
+  /// Execute() and RunBatch().
+  void FinishExecution(const std::string& key,
+                       const std::shared_ptr<const ServeSnapshot>& snapshot,
+                       uint64_t version, StatusOr<core::SearchResult> result,
                        const CompletionPtr& completion,
                        Clock::time_point submit_time, double queue_seconds,
                        size_t batch_lanes);
@@ -339,9 +404,22 @@ class SearchService {
   void Fulfill(const CompletionPtr& completion, ResponseOr response,
                Clock::time_point submit_time);
 
+  /// Hands a stage request its resolved search: a failure goes to `fail`
+  /// on this thread, a response to RunStage on a pool worker.
+  void DispatchStage(const CompletionPtr& completion, ResponseOr response);
+
+  /// Pool task of one stage: the deadline check, then the stage (or its
+  /// failure), then the release of the request's admission slot.
+  void RunStage(const CompletionPtr& completion,
+                const ServeResponse& response);
+
+  /// Returns one admission slot.
+  void ReleaseSlot();
+
   /// Inserts a completed result into the LRU (caller holds mu_).
   void CacheResultLocked(const std::string& key, uint64_t version,
-                         const core::SearchResult& result) ORX_REQUIRES(mu_);
+                         std::shared_ptr<const core::SearchResult> result)
+      ORX_REQUIRES(mu_);
 
   const Options options_;
   const Clock::time_point start_time_;

@@ -18,8 +18,8 @@ namespace orx::serve {
 struct ServeMetrics {
   /// Requests presented to Submit(), including rejected ones.
   uint64_t submitted = 0;
-  /// Requests refused at admission because max_pending executions were
-  /// already in service (kUnavailable).
+  /// Requests refused at admission because max_pending executions and
+  /// stages were already in service (kUnavailable).
   uint64_t rejected = 0;
   /// Requests answered from a completed result-cache entry.
   uint64_t cache_hits = 0;
@@ -30,7 +30,8 @@ struct ServeMetrics {
   /// Executions actually run on the pool (single-flight leaders).
   uint64_t executed = 0;
   /// Executions abandoned because their deadline expired (queued or
-  /// mid-iteration).
+  /// mid-iteration), plus stages whose deadline expired before they
+  /// started.
   uint64_t deadline_exceeded = 0;
   /// Executions that finished with a non-OK status other than
   /// kDeadlineExceeded (e.g. kNotFound for unknown keywords).

@@ -348,8 +348,8 @@ TEST(SnapshotBuilderTest, AcknowledgedWriteBecomesSearchable) {
   EXPECT_GE(service.snapshot_version(), 2u);
   auto after = service.Submit(MakeRequest("zyzzyvaquery")).get();
   ASSERT_TRUE(after.ok()) << after.status();
-  ASSERT_FALSE(after->result.top.empty());
-  EXPECT_EQ(after->result.top.front().node, new_node);
+  ASSERT_FALSE(after->result->top.empty());
+  EXPECT_EQ(after->result->top.front().node, new_node);
 
   builder.Stop();
   const SnapshotBuilder::Stats stats = builder.stats();
@@ -413,8 +413,8 @@ TEST(SnapshotBuilderTest, StopDrainsEveryAcknowledgedBatch) {
   // Post-drain, the service serves the final revision.
   auto response = service.Submit(MakeRequest("revision")).get();
   ASSERT_TRUE(response.ok()) << response.status();
-  ASSERT_FALSE(response->result.top.empty());
-  EXPECT_EQ(response->result.top.front().node, paper);
+  ASSERT_FALSE(response->result->top.empty());
+  EXPECT_EQ(response->result->top.front().node, paper);
 }
 
 }  // namespace

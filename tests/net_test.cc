@@ -2,24 +2,32 @@
 // round-trips and hardened rejection paths, the epoll server's lifecycle
 // (loopback connections, malformed-frame handling, admission-overflow
 // error frames, idle timeouts, graceful drain), and the full protocol
-// stack over a generated DBLP snapshot. The concurrent-clients test is
-// tsan-labeled (tools/check_tsan.sh).
+// stack over a generated DBLP snapshot: explain and reformulate run as
+// admitted pool stages, never on a loop thread. The whole suite is
+// tsan-labeled (tools/check_tsan.sh), which covers the concurrent
+// clients and the concurrent paper sessions.
 
 #include "net/server.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/epoll.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/base_set.h"
+#include "core/searcher.h"
 #include "datasets/dblp_generator.h"
+#include "explain/explainer.h"
 #include "mutate/delta_log.h"
 #include "mutate/epoch.h"
 #include "mutate/mutation.h"
@@ -29,8 +37,10 @@
 #include "net/frame.h"
 #include "net/net_util.h"
 #include "net/serve_handler.h"
+#include "reformulate/reformulator.h"
 #include "serve/search_service.h"
 #include "serve/snapshot.h"
+#include "serve_gate.h"
 #include "text/query.h"
 
 namespace orx::net {
@@ -646,18 +656,25 @@ std::shared_ptr<const serve::ServeSnapshot> MakeSnapshot(uint32_t papers,
       owner->dataset.corpus(), std::move(rates)));
 }
 
-/// The corpus term with the highest document frequency — a query
-/// guaranteed to have a non-empty base set.
-std::string HeadTerm(const text::Corpus& corpus) {
-  text::TermId best = 0;
-  uint32_t best_df = 0;
-  for (text::TermId t = 0; t < corpus.vocab_size(); ++t) {
-    if (corpus.Df(t) > best_df) {
-      best_df = corpus.Df(t);
-      best = t;
-    }
+/// The `count` corpus terms with the highest document frequency (ties
+/// by term id) — queries guaranteed to have a non-empty base set.
+std::vector<std::string> HeadTerms(const text::Corpus& corpus,
+                                   size_t count) {
+  std::vector<text::TermId> ids(corpus.vocab_size());
+  for (text::TermId t = 0; t < ids.size(); ++t) ids[t] = t;
+  std::stable_sort(ids.begin(), ids.end(), [&](text::TermId a,
+                                               text::TermId b) {
+    return corpus.Df(a) > corpus.Df(b);
+  });
+  std::vector<std::string> terms;
+  for (size_t i = 0; i < ids.size() && i < count; ++i) {
+    terms.push_back(corpus.TermString(ids[i]));
   }
-  return corpus.TermString(best);
+  return terms;
+}
+
+std::string HeadTerm(const text::Corpus& corpus) {
+  return HeadTerms(corpus, 1).at(0);
 }
 
 struct FullStack {
@@ -666,13 +683,14 @@ struct FullStack {
   std::unique_ptr<ServeHandler> handler;
   std::unique_ptr<Server> server;
 
-  explicit FullStack(serve::SearchService::Options service_options = {}) {
+  explicit FullStack(serve::SearchService::Options service_options = {},
+                     ServerOptions server_options = TestServerOptions()) {
     snapshot = MakeSnapshot(80, 11);
     service = std::make_unique<serve::SearchService>(snapshot,
                                                      service_options);
     handler = std::make_unique<ServeHandler>(service.get());
     server = std::make_unique<Server>(
-        TestServerOptions(), [this](Frame frame, ResponderPtr respond) {
+        server_options, [this](Frame frame, ResponderPtr respond) {
           handler->Handle(std::move(frame), std::move(respond));
         });
     handler->set_server_stats(
@@ -887,6 +905,329 @@ TEST(NetFullStackTest, MutateAcceptedAndBecomesSearchableOverTheWire) {
   builder.Stop();
   EXPECT_EQ(server.stats().unanswered_frames, 0u);
   EXPECT_GE(builder.stats().publications, 1u);
+}
+
+// --- explain and reformulate as admitted pool stages ----------------------
+
+/// Writes one request frame to a raw blocking connection.
+void SendFrame(int fd, Op op, uint64_t id, const std::string& payload) {
+  const std::string frame = EncodeFrame(op, id, payload);
+  ASSERT_TRUE(WriteAll(fd, frame.data(), frame.size()).ok());
+}
+
+/// Whether a response starts to arrive on `fd` within `ms` milliseconds.
+bool AnswerArrives(int fd, int ms) {
+  pollfd p{fd, POLLIN, 0};
+  return poll(&p, 1, ms) > 0;
+}
+
+/// Reads one whole response frame from a raw blocking connection.
+StatusOr<Frame> ReadFrame(int fd) {
+  char header_bytes[kHeaderSize];
+  ORX_RETURN_IF_ERROR(ReadAll(fd, header_bytes, kHeaderSize, "header"));
+  auto header = DecodeHeader(header_bytes);
+  ORX_RETURN_IF_ERROR(header.status());
+  Frame frame;
+  frame.header = *header;
+  frame.payload.resize(header->payload_size);
+  ORX_RETURN_IF_ERROR(
+      ReadAll(fd, frame.payload.data(), frame.payload.size(), "payload"));
+  return frame;
+}
+
+/// The service's own search for `query`, run in-process with no deadline:
+/// it warms the result cache that a later wire request of the same query
+/// hits.
+void WarmCache(serve::SearchService& service, const std::string& query) {
+  serve::ServeRequest request;
+  request.query = text::QueryVector(text::ParseQuery(query));
+  request.deadline_seconds = -1.0;
+  auto warm = service.Search(std::move(request));
+  ASSERT_TRUE(warm.ok()) << warm.status();
+}
+
+/// Holds the service's pool: a gated search of `query` (one admission
+/// slot) parks its worker until Release(), or until the hold goes out of
+/// scope, so a failed assertion never leaves the service undrainable.
+class PoolHold {
+ public:
+  PoolHold(serve::SearchService& service, const serve::ServeSnapshot& snap,
+           const std::string& query) {
+    serve::ServeRequest blocker;
+    blocker.query = text::QueryVector(text::ParseQuery(query));
+    blocker.options = serve::GatedOptions(snap, gate_);
+    blocker.deadline_seconds = -1.0;
+    held_ = service.Submit(std::move(blocker));
+    gate_->WaitUntilEntered();
+  }
+  ~PoolHold() { gate_->Open(); }
+
+  /// Opens the gate; returns the gated search's response.
+  StatusOr<serve::ServeResponse> Release() {
+    gate_->Open();
+    return held_.get();
+  }
+
+ private:
+  std::shared_ptr<serve::Gate> gate_ = std::make_shared<serve::Gate>();
+  std::future<StatusOr<serve::ServeResponse>> held_;
+};
+
+/// The paper's session computed in-process on `snap`: a fresh search of
+/// `query`, then the explaining subgraph of rank 1 and the reformulation
+/// with `feedback_ranks` — the goldens the wire answers must equal.
+struct SessionGolden {
+  std::string explain_text;
+  std::string reformulated_query;
+};
+
+SessionGolden GoldenSession(const serve::ServeSnapshot& snap,
+                            const std::string& query_text,
+                            const std::vector<uint32_t>& feedback_ranks) {
+  const text::QueryVector query(text::ParseQuery(query_text));
+  core::Searcher searcher(*snap.data, *snap.authority, *snap.corpus);
+  auto result = searcher.Search(query, snap.rates, snap.default_options);
+  EXPECT_TRUE(result.ok()) << result.status();
+  auto base = core::BuildBaseSet(*snap.corpus, query,
+                                 core::BaseSetMode::kIrWeighted,
+                                 snap.default_options.bm25);
+  EXPECT_TRUE(base.ok()) << base.status();
+  SessionGolden golden;
+  if (!result.ok() || !base.ok() || result->top.size() < 2) return golden;
+  explain::Explainer explainer(*snap.data, *snap.authority);
+  auto explanation = explainer.Explain(
+      result->top[0].node, *base, result->scores, snap.rates,
+      snap.default_options.objectrank.damping, explain::ExplainOptions{});
+  EXPECT_TRUE(explanation.ok()) << explanation.status();
+  if (explanation.ok()) {
+    golden.explain_text = explanation->subgraph.ToString(*snap.data);
+  }
+  std::vector<graph::NodeId> feedback;
+  for (uint32_t rank : feedback_ranks) {
+    feedback.push_back(result->top[rank - 1].node);
+  }
+  reform::Reformulator reformulator(*snap.data, *snap.authority,
+                                    *snap.corpus);
+  auto reformulated =
+      reformulator.Reformulate(query, snap.rates, *base, result->scores,
+                               feedback, reform::ReformulationOptions{});
+  EXPECT_TRUE(reformulated.ok()) << reformulated.status();
+  if (reformulated.ok()) {
+    golden.reformulated_query = reformulated->query.ToString();
+  }
+  return golden;
+}
+
+/// "[a, b, c] = [1.00, ...]" (QueryVector::ToString) -> "a b c".
+std::string TermList(const std::string& rendered) {
+  const size_t open = rendered.find('[');
+  const size_t close = rendered.find(']');
+  if (open == std::string::npos || close == std::string::npos) return "";
+  std::string terms = rendered.substr(open + 1, close - open - 1);
+  terms.erase(std::remove(terms.begin(), terms.end(), ','), terms.end());
+  return terms;
+}
+
+TEST(NetFullStackTest, StagesRunOnTheSnapshotTheyWereAdmittedWith) {
+  // A publication that adds nodes lands between a session's search and
+  // its explain. The search is still answered from the entry retained
+  // from version 1 (result_cache_versions = 2); explain and reformulate
+  // must run on a result computed against the snapshot they run on, not
+  // pair version 1's scores with the grown graph.
+  FullStack stack;
+  auto grown = MakeSnapshot(120, 11);
+  ASSERT_GT(grown->data->num_nodes(), stack.snapshot->data->num_nodes());
+  ASSERT_TRUE(stack.server->Start().ok());
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()).ok());
+
+  const std::string query = HeadTerm(*stack.snapshot->corpus);
+  auto before = client.Search({query, 10, 0.0});
+  ASSERT_TRUE(before.ok()) << before.status();
+  stack.service->SwapSnapshot(grown);
+  auto retained = client.Search({query, 10, 0.0});
+  ASSERT_TRUE(retained.ok()) << retained.status();
+  EXPECT_TRUE(retained->cache_hit);
+  EXPECT_EQ(retained->snapshot_version, 1u);
+
+  const SessionGolden golden = GoldenSession(*grown, query, {1});
+  auto explain = client.Explain({query, 1});
+  ASSERT_TRUE(explain.ok()) << explain.status();
+  EXPECT_EQ(explain->text, golden.explain_text);
+  auto reform = client.Reformulate({query, {1}});
+  ASSERT_TRUE(reform.ok()) << reform.status();
+  EXPECT_EQ(reform->reformulated_query, golden.reformulated_query);
+  stack.server->Shutdown();
+  EXPECT_EQ(stack.server->stats().unanswered_frames, 0u);
+}
+
+TEST(NetFullStackTest, StageWaitsForThePoolNotTheLoop) {
+  // One loop, one pool worker held by a gated search. A's explain of a
+  // cached query must wait for the pool; meanwhile B's cached search on
+  // the same loop is answered.
+  serve::SearchService::Options options;
+  options.num_threads = 1;
+  ServerOptions one_loop = TestServerOptions();
+  one_loop.num_workers = 1;
+  FullStack stack(options, one_loop);
+  ASSERT_TRUE(stack.server->Start().ok());
+  const std::vector<std::string> terms = HeadTerms(*stack.snapshot->corpus, 2);
+  ASSERT_EQ(terms.size(), 2u);
+  WarmCache(*stack.service, terms[0]);
+  PoolHold hold(*stack.service, *stack.snapshot, terms[1]);
+
+  auto a = ConnectTcp("127.0.0.1", stack.server->port());
+  ASSERT_TRUE(a.ok());
+  SendFrame(*a, Op::kExplain, 1, EncodeExplainRequest({terms[0], 1}));
+  BlockingClient b;
+  ASSERT_TRUE(b.Connect("127.0.0.1", stack.server->port()).ok());
+  auto search = b.Search({terms[0], 10, 0.0});
+  ASSERT_TRUE(search.ok()) << search.status();
+  EXPECT_TRUE(search->cache_hit);
+  EXPECT_FALSE(AnswerArrives(*a, 200)) << "explain ran while the pool was held";
+
+  ASSERT_TRUE(hold.Release().ok());
+  auto explain = ReadFrame(*a);
+  ASSERT_TRUE(explain.ok()) << explain.status();
+  EXPECT_EQ(explain->header.op, Op::kExplain);
+  EXPECT_EQ(explain->header.request_id, 1u);
+  close(*a);
+  stack.server->Shutdown();
+  EXPECT_EQ(stack.server->stats().unanswered_frames, 0u);
+}
+
+TEST(NetFullStackTest, StageFloodPastMaxPendingIsShedAsUnavailable) {
+  // max_pending 2 with the pool held (slot 1): the first explain of a
+  // cached query queues (slot 2); every further explain or reformulate
+  // is shed at once with kError/kUnavailable.
+  serve::SearchService::Options options;
+  options.num_threads = 1;
+  options.max_pending = 2;
+  FullStack stack(options);
+  ASSERT_TRUE(stack.server->Start().ok());
+  const std::vector<std::string> terms = HeadTerms(*stack.snapshot->corpus, 2);
+  ASSERT_EQ(terms.size(), 2u);
+  WarmCache(*stack.service, terms[0]);
+  PoolHold hold(*stack.service, *stack.snapshot, terms[1]);
+
+  auto fd = ConnectTcp("127.0.0.1", stack.server->port());
+  ASSERT_TRUE(fd.ok());
+  SendFrame(*fd, Op::kExplain, 1, EncodeExplainRequest({terms[0], 1}));
+  constexpr uint64_t kShed = 4;
+  for (uint64_t id = 2; id < 2 + kShed; ++id) {
+    if (id % 2 == 0) {
+      SendFrame(*fd, Op::kExplain, id, EncodeExplainRequest({terms[0], 1}));
+    } else {
+      SendFrame(*fd, Op::kReformulate, id,
+                EncodeReformulateRequest({terms[0], {1, 2}}));
+    }
+  }
+  for (uint64_t i = 0; i < kShed; ++i) {
+    auto frame = ReadFrame(*fd);
+    ASSERT_TRUE(frame.ok()) << frame.status();
+    EXPECT_EQ(frame->header.request_id, 2 + i);
+    ASSERT_EQ(frame->header.op, Op::kError);
+    auto error = DecodeErrorResponse(frame->payload);
+    ASSERT_TRUE(error.ok());
+    EXPECT_EQ(error->code, StatusCode::kUnavailable);
+  }
+  EXPECT_FALSE(AnswerArrives(*fd, 100));  // the queued one still waits
+
+  ASSERT_TRUE(hold.Release().ok());
+  auto queued = ReadFrame(*fd);
+  ASSERT_TRUE(queued.ok()) << queued.status();
+  EXPECT_EQ(queued->header.op, Op::kExplain);
+  EXPECT_EQ(queued->header.request_id, 1u);
+  close(*fd);
+  stack.server->Shutdown();
+  EXPECT_EQ(stack.server->stats().unanswered_frames, 0u);
+  EXPECT_EQ(stack.service->Snapshot().rejected, kShed);
+}
+
+TEST(NetFullStackTest, StagePastItsDeadlineAnswersDeadlineExceeded) {
+  // The default deadline (50 ms, from submission) passes while the
+  // explain of a cached query waits for the held pool; it is checked
+  // when the stage is about to start.
+  serve::SearchService::Options options;
+  options.num_threads = 1;
+  options.default_deadline_seconds = 0.05;
+  FullStack stack(options);
+  ASSERT_TRUE(stack.server->Start().ok());
+  const std::vector<std::string> terms = HeadTerms(*stack.snapshot->corpus, 2);
+  ASSERT_EQ(terms.size(), 2u);
+  WarmCache(*stack.service, terms[0]);
+  PoolHold hold(*stack.service, *stack.snapshot, terms[1]);
+
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()).ok());
+  StatusOr<ExplainResponse> explain = InternalError("never answered");
+  std::thread caller([&] { explain = client.Explain({terms[0], 1}); });
+  while (stack.service->Snapshot().submitted < 3) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  const bool released = hold.Release().ok();
+  caller.join();
+  EXPECT_TRUE(released);
+  EXPECT_EQ(explain.status().code(), StatusCode::kDeadlineExceeded)
+      << explain.status();
+  EXPECT_EQ(stack.service->Snapshot().deadline_exceeded, 1u);
+  stack.server->Shutdown();
+  EXPECT_EQ(stack.server->stats().unanswered_frames, 0u);
+}
+
+TEST(NetFullStackTest, ConcurrentPaperSessionsMatchInProcessGoldens) {
+  // Four connections over two loops, each running the paper's session
+  // (search, explain rank 1, reformulate {1,2}, search the reformulated
+  // terms) sixteen times, so explain and reformulate stages run
+  // concurrently on the pool.
+  FullStack stack;
+  ASSERT_TRUE(stack.server->Start().ok());
+  const std::vector<std::string> queries =
+      HeadTerms(*stack.snapshot->corpus, 4);
+  ASSERT_EQ(queries.size(), 4u);
+  std::vector<SessionGolden> goldens;
+  for (const std::string& q : queries) {
+    goldens.push_back(GoldenSession(*stack.snapshot, q, {1, 2}));
+  }
+  const uint16_t port = stack.server->port();
+
+  constexpr int kConnections = 4;
+  constexpr int kSessions = 16;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&, c] {
+      BlockingClient client;
+      if (!client.Connect("127.0.0.1", port).ok()) {
+        failures.fetch_add(kSessions);
+        return;
+      }
+      for (int i = 0; i < kSessions; ++i) {
+        const size_t q = static_cast<size_t>(c + i) % queries.size();
+        const bool searched = client.Search({queries[q], 10, 0.0}).ok();
+        auto explain = client.Explain({queries[q], 1});
+        auto reform = client.Reformulate({queries[q], {1, 2}});
+        const bool matched =
+            explain.ok() && explain->text == goldens[q].explain_text &&
+            reform.ok() &&
+            reform->reformulated_query == goldens[q].reformulated_query;
+        const bool next =
+            reform.ok() &&
+            client.Search({TermList(reform->reformulated_query), 10, 0.0})
+                .ok();
+        if (!searched || !matched || !next) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  stack.server->Shutdown();
+
+  const ServerStats stats = stack.server->stats();
+  EXPECT_EQ(stats.frames_received, 4u * kConnections * kSessions);
+  EXPECT_EQ(stats.frames_sent, 4u * kConnections * kSessions);
+  EXPECT_EQ(stats.unanswered_frames, 0u);
 }
 
 }  // namespace

@@ -5,10 +5,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -17,6 +15,7 @@
 
 #include "datasets/dblp_generator.h"
 #include "serve/snapshot.h"
+#include "serve_gate.h"
 #include "text/query.h"
 
 namespace orx::serve {
@@ -73,37 +72,6 @@ core::SearchResult DirectSearch(const ServeSnapshot& snap,
   return *result;
 }
 
-/// A cancellation hook that parks the power iteration until Open(); used
-/// to hold an execution in flight deterministically.
-struct Gate {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool open = false;
-  std::atomic<bool> entered{false};
-
-  bool Block() {
-    entered.store(true);
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return open; });
-    return false;  // never cancel; just stall
-  }
-  void WaitUntilEntered() {
-    while (!entered.load()) std::this_thread::yield();
-  }
-  void Open() {
-    std::lock_guard<std::mutex> lock(mu);
-    open = true;
-    cv.notify_all();
-  }
-};
-
-core::SearchOptions GatedOptions(const ServeSnapshot& snap,
-                                 const std::shared_ptr<Gate>& gate) {
-  core::SearchOptions options = snap.default_options;
-  options.objectrank.cancel = [gate] { return gate->Block(); };
-  return options;
-}
-
 TEST(SearchServiceTest, ConcurrentSubmitsMatchSequentialResults) {
   auto snap = MakeDblpSnapshot(250, 3);
   const std::vector<std::string> terms = TopTerms(*snap->corpus, 12);
@@ -127,8 +95,8 @@ TEST(SearchServiceTest, ConcurrentSubmitsMatchSequentialResults) {
     auto response = futures[i].get();
     ASSERT_TRUE(response.ok()) << response.status();
     const core::SearchResult& expected = reference[submitted[i]];
-    EXPECT_EQ(response->result.scores, expected.scores) << submitted[i];
-    EXPECT_EQ(response->result.top, expected.top) << submitted[i];
+    EXPECT_EQ(response->result->scores, expected.scores) << submitted[i];
+    EXPECT_EQ(response->result->top, expected.top) << submitted[i];
   }
   const ServeMetrics m = service.Snapshot();
   EXPECT_EQ(m.submitted, futures.size());
@@ -170,7 +138,7 @@ TEST(SearchServiceTest, SingleFlightCoalescesIdenticalQueries) {
     auto response = f.get();
     ASSERT_TRUE(response.ok()) << response.status();
     EXPECT_TRUE(response->coalesced);
-    EXPECT_EQ(response->result.scores, led->result.scores);
+    EXPECT_EQ(response->result->scores, led->result->scores);
   }
   const ServeMetrics m = service.Snapshot();
   EXPECT_EQ(m.executed, 1u);  // one power iteration served 7 requests
@@ -251,8 +219,7 @@ TEST(SearchServiceTest, ResultCacheServesRepeatsWithoutExecution) {
   auto second = service.Search(MakeRequest(term));
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->cache_hit);
-  EXPECT_EQ(second->result.scores, first->result.scores);
-  EXPECT_EQ(second->result.top, first->result.top);
+  EXPECT_EQ(second->result, first->result);  // shared, not copied
 
   // Keyword order must not defeat the normalized key.
   const std::string two_terms =
@@ -263,7 +230,7 @@ TEST(SearchServiceTest, ResultCacheServesRepeatsWithoutExecution) {
   auto b = service.Search(MakeRequest(reversed));
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(b->cache_hit);
-  EXPECT_EQ(b->result.scores, a->result.scores);
+  EXPECT_EQ(b->result->scores, a->result->scores);
 
   const ServeMetrics m = service.Snapshot();
   EXPECT_EQ(m.executed, 2u);
@@ -378,7 +345,7 @@ TEST(SearchServiceTest, SnapshotSwapMidTrafficIsSeamless) {
         }
         const core::SearchResult& expected =
             response->snapshot_version == 1 ? ref1[term] : ref2[term];
-        if (response->result.scores != expected.scores) failed.store(true);
+        if (response->result->scores != expected.scores) failed.store(true);
         if (response->snapshot_version == 2) new_version_responses.fetch_add(1);
         done.fetch_add(1);
       }
@@ -419,7 +386,7 @@ TEST(SearchServiceTest, ResultCacheRetainsRecentVersionsAcrossSwap) {
   ASSERT_TRUE(retained.ok()) << retained.status();
   EXPECT_TRUE(retained->cache_hit);
   EXPECT_EQ(retained->snapshot_version, 1u);
-  EXPECT_EQ(retained->result.scores, warm->result.scores);
+  EXPECT_EQ(retained->result->scores, warm->result->scores);
 
   // A second swap slides v1 out of the window; the same query must now
   // recompute against the current snapshot.
@@ -473,8 +440,8 @@ TEST(SearchServiceTest, SubmitAsyncDeliversSameResponseAsFutures) {
                       });
   auto response = future.get();
   ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->result.scores, expected.scores);
-  EXPECT_EQ(response->result.top, expected.top);
+  EXPECT_EQ(response->result->scores, expected.scores);
+  EXPECT_EQ(response->result->top, expected.top);
   EXPECT_FALSE(response->cache_hit);
 
   // The repeat resolves at Submit time: the callback runs synchronously
@@ -485,7 +452,7 @@ TEST(SearchServiceTest, SubmitAsyncDeliversSameResponseAsFutures) {
                         ran = true;
                         ASSERT_TRUE(response.ok()) << response.status();
                         EXPECT_TRUE(response->cache_hit);
-                        EXPECT_EQ(response->result.scores, expected.scores);
+                        EXPECT_EQ(response->result->scores, expected.scores);
                       });
   EXPECT_TRUE(ran);
 }
@@ -560,6 +527,73 @@ TEST(SearchServiceTest, SubmitAsyncCoalescedWaitersGetCallbacks) {
   EXPECT_EQ(service.Snapshot().executed, 1u);
 }
 
+TEST(SearchServiceStageTest, StageNeverRunsOnTheSubmittingThread) {
+  auto snap = MakeDblpSnapshot(200, 22);
+  const std::string term = TopTerms(*snap->corpus, 1).at(0);
+  SearchService service(snap, SearchService::Options{});
+  const core::SearchResult expected = DirectSearch(*snap, term);
+
+  // The first stage's search executes; the second's is a cache hit,
+  // resolved on this thread at submit time. Both stages must still run
+  // on a pool worker, over the shared result and the admitted snapshot.
+  for (const bool expect_hit : {false, true}) {
+    std::promise<std::thread::id> ran_on;
+    auto future = ran_on.get_future();
+    service.SubmitStage(
+        MakeRequest(term),
+        [&](const ServeResponse& response) {
+          EXPECT_EQ(response.cache_hit, expect_hit);
+          EXPECT_EQ(response.snapshot, snap);
+          EXPECT_EQ(response.result->scores, expected.scores);
+          ran_on.set_value(std::this_thread::get_id());
+        },
+        [&](const Status& status) {
+          ADD_FAILURE() << status;
+          ran_on.set_value(std::this_thread::get_id());
+        });
+    EXPECT_NE(future.get(), std::this_thread::get_id()) << expect_hit;
+  }
+  const ServeMetrics m = service.Snapshot();
+  EXPECT_EQ(m.executed, 1u);
+  EXPECT_EQ(m.cache_hits, 1u);
+}
+
+TEST(SearchServiceStageTest, StageNeverUsesAnEntryFromAnOlderVersion) {
+  // The swap grows the graph. A plain search may still be answered from
+  // the entry retained from version 1; a stage must get a result computed
+  // on the snapshot it runs on, or its scores would not even match the
+  // graph's node count.
+  auto small = MakeDblpSnapshot(200, 21);
+  auto grown = MakeDblpSnapshot(260, 21);
+  ASSERT_GT(grown->data->num_nodes(), small->data->num_nodes());
+  const std::string term = TopTerms(*small->corpus, 1).at(0);
+  SearchService service(small, SearchService::Options{});
+  ASSERT_TRUE(service.Search(MakeRequest(term)).ok());
+  service.SwapSnapshot(grown);
+
+  auto retained = service.Search(MakeRequest(term));
+  ASSERT_TRUE(retained.ok()) << retained.status();
+  EXPECT_TRUE(retained->cache_hit);
+  EXPECT_EQ(retained->snapshot_version, 1u);
+  EXPECT_EQ(retained->snapshot, grown);
+
+  std::promise<ServeResponse> staged;
+  auto future = staged.get_future();
+  service.SubmitStage(
+      MakeRequest(term),
+      [&staged](const ServeResponse& response) { staged.set_value(response); },
+      [&staged](const Status& status) {
+        ADD_FAILURE() << status;
+        staged.set_value(ServeResponse{});
+      });
+  const ServeResponse response = future.get();
+  ASSERT_NE(response.result, nullptr);
+  EXPECT_FALSE(response.cache_hit);
+  EXPECT_EQ(response.snapshot_version, 2u);
+  EXPECT_EQ(response.snapshot, grown);
+  EXPECT_EQ(response.result->scores, DirectSearch(*grown, term).scores);
+}
+
 TEST(SearchServiceTest, MetricsSnapshotConsistentUnderLoad) {
   // Regression for non-atomic counter sampling: a snapshot taken
   // mid-burst used to show `completed` ahead of the action counters
@@ -567,7 +601,7 @@ TEST(SearchServiceTest, MetricsSnapshotConsistentUnderLoad) {
   // see the matching cache_hit/coalesced/executed increment ordered).
   // Snapshot() now loads completed_ first with acquire against Fulfill's
   // release, so these invariants must hold in EVERY cut, not just at
-  // quiescence.
+  // quiescence — also with stages in the mix.
   auto snap = MakeDblpSnapshot(200, 20);
   const std::vector<std::string> terms = TopTerms(*snap->corpus, 6);
   ASSERT_GE(terms.size(), 4u);
@@ -594,8 +628,18 @@ TEST(SearchServiceTest, MetricsSnapshotConsistentUnderLoad) {
     clients.emplace_back([&, c] {
       for (int i = 0; i < kPerClient; ++i) {
         const std::string& term = terms[(c * 7 + i) % terms.size()];
-        auto response = service.Search(MakeRequest(term));
-        EXPECT_TRUE(response.ok()) << response.status();
+        if (i % 2 == 0) {
+          auto response = service.Search(MakeRequest(term));
+          EXPECT_TRUE(response.ok()) << response.status();
+          continue;
+        }
+        std::promise<Status> staged;
+        service.SubmitStage(
+            MakeRequest(term),
+            [&staged](const ServeResponse&) { staged.set_value(Status()); },
+            [&staged](const Status& status) { staged.set_value(status); });
+        const Status status = staged.get_future().get();
+        EXPECT_TRUE(status.ok()) << status;
       }
     });
   }
@@ -608,6 +652,7 @@ TEST(SearchServiceTest, MetricsSnapshotConsistentUnderLoad) {
   const ServeMetrics m = service.Snapshot();
   EXPECT_EQ(m.completed, static_cast<uint64_t>(kClients * kPerClient));
   EXPECT_EQ(m.executed + m.cache_hits + m.coalesced, m.completed);
+  EXPECT_EQ(m.rejected, 0u);
 }
 
 TEST(SearchServiceTest, CapIntraQueryThreadsNeverOversubscribes) {
@@ -688,9 +733,9 @@ TEST(SearchServiceTierPolicyTest, LoadNeverMovesAutoOffTheExactPath) {
   EXPECT_TRUE(queued2.get().ok());
   auto response = loaded.get();
   ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->result.tier_used, core::SearchTier::kExact);
-  EXPECT_FALSE(response->result.escalated);
-  EXPECT_EQ(response->result.scores, DirectSearch(*snap, terms[3]).scores);
+  EXPECT_EQ(response->result->tier_used, core::SearchTier::kExact);
+  EXPECT_FALSE(response->result->escalated);
+  EXPECT_EQ(response->result->scores, DirectSearch(*snap, terms[3]).scores);
   const ServeMetrics m = service.Snapshot();
   EXPECT_EQ(m.tier_exact, 4u);
   EXPECT_EQ(m.escalations, 0u);
@@ -717,11 +762,11 @@ TEST(SearchServiceTierPolicyTest, ShortDeadlineRelabelsAutoAsCached) {
   request.deadline_seconds = 30.0;
   auto response = service.Search(std::move(request));
   ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->result.tier_used, core::SearchTier::kExact);
-  EXPECT_TRUE(response->result.escalated);
-  EXPECT_EQ(response->result.cache_miss_reason,
+  EXPECT_EQ(response->result->tier_used, core::SearchTier::kExact);
+  EXPECT_TRUE(response->result->escalated);
+  EXPECT_EQ(response->result->cache_miss_reason,
             core::CacheMissReason::kNoCache);
-  EXPECT_EQ(response->result.scores, DirectSearch(*snap, term).scores);
+  EXPECT_EQ(response->result->scores, DirectSearch(*snap, term).scores);
   ServeMetrics m = service.Snapshot();
   EXPECT_EQ(m.escalations, 1u);
   EXPECT_EQ(m.miss_no_cache, 1u);
@@ -734,8 +779,8 @@ TEST(SearchServiceTierPolicyTest, ShortDeadlineRelabelsAutoAsCached) {
   auto unlabelled = service.Search(std::move(relaxed));
   ASSERT_TRUE(unlabelled.ok()) << unlabelled.status();
   EXPECT_FALSE(unlabelled->cache_hit);
-  EXPECT_FALSE(unlabelled->result.escalated);
-  EXPECT_EQ(unlabelled->result.scores, response->result.scores);
+  EXPECT_FALSE(unlabelled->result->escalated);
+  EXPECT_EQ(unlabelled->result->scores, response->result->scores);
   m = service.Snapshot();
   EXPECT_EQ(m.escalations, 1u);
   EXPECT_EQ(m.tier_exact, 2u);
@@ -769,8 +814,8 @@ TEST(SearchServiceBatchingTest, WindowFlushesWhenMaxBatchSizeReached) {
   EXPECT_EQ(r1->batch_lanes, 2u);
   EXPECT_EQ(r2->batch_lanes, 2u);
   // Batched lanes return exactly what an unbatched search computes.
-  EXPECT_EQ(r1->result.scores, DirectSearch(*snap, terms[0]).scores);
-  EXPECT_EQ(r2->result.scores, DirectSearch(*snap, terms[1]).scores);
+  EXPECT_EQ(r1->result->scores, DirectSearch(*snap, terms[0]).scores);
+  EXPECT_EQ(r2->result->scores, DirectSearch(*snap, terms[1]).scores);
 
   const ServeMetrics m = service.Snapshot();
   EXPECT_EQ(m.batches, 1u);
@@ -789,7 +834,7 @@ TEST(SearchServiceBatchingTest, WindowFlushesWhenDelayExpires) {
   auto response = service.Search(MakeRequest(term));
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->batch_lanes, 1u);
-  EXPECT_EQ(response->result.scores, DirectSearch(*snap, term).scores);
+  EXPECT_EQ(response->result->scores, DirectSearch(*snap, term).scores);
   // The wait for the window shows up as queue time, not compute time.
   EXPECT_GE(response->queue_seconds, 0.04);
 
@@ -816,7 +861,7 @@ TEST(SearchServiceBatchingTest, QueuedDeadlineExpiryDoesNotAbortTheBatch) {
   EXPECT_EQ(ra.status().code(), StatusCode::kDeadlineExceeded);
   ASSERT_TRUE(rb.ok()) << rb.status();
   EXPECT_EQ(rb->batch_lanes, 1u);  // the expired lane never joined the solve
-  EXPECT_EQ(rb->result.scores, DirectSearch(*snap, terms[1]).scores);
+  EXPECT_EQ(rb->result->scores, DirectSearch(*snap, terms[1]).scores);
 
   const ServeMetrics m = service.Snapshot();
   EXPECT_EQ(m.deadline_exceeded, 1u);
@@ -847,7 +892,7 @@ TEST(SearchServiceBatchingTest, MidIterationCancelRetiresOnlyItsLane) {
   EXPECT_EQ(ra.status().code(), StatusCode::kDeadlineExceeded);
   ASSERT_TRUE(rb.ok()) << rb.status();
   EXPECT_EQ(rb->batch_lanes, 2u);  // both lanes entered the solve
-  EXPECT_EQ(rb->result.scores, DirectSearch(*snap, terms[1]).scores);
+  EXPECT_EQ(rb->result->scores, DirectSearch(*snap, terms[1]).scores);
 
   const ServeMetrics m = service.Snapshot();
   EXPECT_EQ(m.deadline_exceeded, 1u);
@@ -879,8 +924,8 @@ TEST(SearchServiceBatchingTest, NoCrossBatchingAcrossSnapshotVersions) {
   EXPECT_EQ(r2->snapshot_version, 2u);
   EXPECT_EQ(r1->batch_lanes, 1u);
   EXPECT_EQ(r2->batch_lanes, 1u);
-  EXPECT_EQ(r1->result.scores, DirectSearch(*snap1, term).scores);
-  EXPECT_EQ(r2->result.scores, DirectSearch(*snap2, term).scores);
+  EXPECT_EQ(r1->result->scores, DirectSearch(*snap1, term).scores);
+  EXPECT_EQ(r2->result->scores, DirectSearch(*snap2, term).scores);
 
   // Each version got its own window: no lane may run against the wrong
   // snapshot even though both windows were open simultaneously.
@@ -929,7 +974,7 @@ TEST(SearchServiceBatchingTest, DestructorFlushesOpenWindows) {
   }
   auto response = future.get();
   ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->result.scores, DirectSearch(*snap, term).scores);
+  EXPECT_EQ(response->result->scores, DirectSearch(*snap, term).scores);
 }
 
 TEST(SearchServiceTest, DestructorDrainsInFlightRequests) {

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the network front end (the "net-smoke" CI gate):
 # starts orx_serve on an ephemeral port, runs the client's e2e mode
-# (wire responses vs in-process goldens) and a short load burst, then
-# checks the accounting: zero dropped (unanswered) frames, zero
-# unexpected error frames, and a clean SIGTERM drain.
+# (wire responses vs in-process goldens) as four concurrent clients, so
+# the byte-exact explain and reformulate goldens are checked while their
+# stages share the server's pool, then a short load burst, and checks
+# the accounting: every e2e client passes, zero dropped (unanswered)
+# frames, zero unexpected error frames, and a clean SIGTERM drain.
 #
 # usage: tools/net_smoke.sh [build-dir] [load-seconds] [connections]
 set -euo pipefail
@@ -13,12 +15,16 @@ BUILD_DIR="${1:-build}"
 LOAD_SECONDS="${2:-5}"
 CONNECTIONS="${3:-200}"
 SCALE="${ORX_NET_SMOKE_SCALE:-0.05}"
+E2E_CLIENTS=4
 SERVE_LOG="$(mktemp)"
+E2E_DIR="$(mktemp -d)"
 ulimit -n 4096 || true
 
 "$BUILD_DIR/tools/orx_serve" --port 0 --scale "$SCALE" >"$SERVE_LOG" 2>&1 &
 SERVE_PID=$!
-trap 'kill -9 "$SERVE_PID" 2>/dev/null || true; rm -f "$SERVE_LOG"' EXIT
+E2E_PIDS=()
+trap 'kill -9 "$SERVE_PID" "${E2E_PIDS[@]}" 2>/dev/null || true
+      rm -rf "$SERVE_LOG" "$E2E_DIR"' EXIT
 
 PORT=""
 for _ in $(seq 1 120); do
@@ -30,8 +36,27 @@ done
 [ -n "$PORT" ] || { echo "server never reported its port"; cat "$SERVE_LOG"; exit 1; }
 echo "=== orx_serve up on port $PORT ==="
 
-echo "=== e2e: wire vs in-process goldens ==="
-"$BUILD_DIR/tools/orx_client" --mode e2e --port "$PORT" --scale "$SCALE"
+echo "=== e2e: $E2E_CLIENTS concurrent clients, wire vs in-process goldens ==="
+for i in $(seq 1 "$E2E_CLIENTS"); do
+  "$BUILD_DIR/tools/orx_client" --mode e2e --port "$PORT" --scale "$SCALE" \
+    >"$E2E_DIR/$i.log" 2>&1 &
+  E2E_PIDS+=($!)
+done
+E2E_FAILED=0
+for i in $(seq 1 "$E2E_CLIENTS"); do
+  if wait "${E2E_PIDS[$((i - 1))]}"; then
+    echo "e2e client $i: $(tail -1 "$E2E_DIR/$i.log")"
+  else
+    echo "e2e client $i FAILED:"
+    cat "$E2E_DIR/$i.log"
+    E2E_FAILED=1
+  fi
+done
+E2E_PIDS=()
+if [ "$E2E_FAILED" -ne 0 ]; then
+  echo "FAILED: not every concurrent e2e client passed"
+  exit 1
+fi
 
 echo "=== load: $CONNECTIONS connections, ${LOAD_SECONDS}s burst ==="
 LOAD_OUT="$("$BUILD_DIR/tools/orx_client" --mode load --port "$PORT" \

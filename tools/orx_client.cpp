@@ -409,9 +409,7 @@ int RunE2e(const ClientFlags& flags) {
     auto wire = client.Search({q, flags.k, 0.0});
     serve::ServeRequest request;
     request.query = text::QueryVector(text::ParseQuery(q));
-    core::SearchOptions options = snap.default_options;
-    options.k = flags.k;
-    request.options = options;
+    request.k = flags.k;
     auto local = golden.Search(std::move(request));
     const std::string what = "search '" + q + "'";
     if (!wire.ok() || !local.ok()) {
@@ -420,10 +418,10 @@ int RunE2e(const ClientFlags& flags) {
                 (what + " (status parity)").c_str());
       continue;
     }
-    bool same = wire->results.size() == local->result.top.size();
+    bool same = wire->results.size() == local->result->top.size();
     for (size_t i = 0; same && i < wire->results.size(); ++i) {
       const net::WireResult& w = wire->results[i];
-      const core::ScoredNode& g = local->result.top[i];
+      const core::ScoredNode& g = local->result->top[i];
       same = w.node == g.node && scores_close(w.score, g.score) &&
              w.display_label == snap.data->DisplayLabel(g.node);
     }
@@ -440,7 +438,7 @@ int RunE2e(const ClientFlags& flags) {
     request.query = query;
     auto local = golden.Search(std::move(request));
     bool same = false;
-    if (wire.ok() && local.ok() && local->result.top.size() >= rank) {
+    if (wire.ok() && local.ok() && local->result->top.size() >= rank) {
       auto base =
           core::BuildBaseSet(*snap.corpus, query,
                              core::BaseSetMode::kIrWeighted,
@@ -448,7 +446,7 @@ int RunE2e(const ClientFlags& flags) {
       if (base.ok()) {
         explain::Explainer explainer(*snap.data, *snap.authority);
         auto explanation = explainer.Explain(
-            local->result.top[rank - 1].node, *base, local->result.scores,
+            local->result->top[rank - 1].node, *base, local->result->scores,
             snap.rates, snap.default_options.objectrank.damping,
             explain::ExplainOptions{});
         same = explanation.ok() &&
@@ -472,7 +470,7 @@ int RunE2e(const ClientFlags& flags) {
     request.query = query;
     auto local = golden.Search(std::move(request));
     bool same = false;
-    if (wire.ok() && local.ok() && local->result.top.size() >= 3) {
+    if (wire.ok() && local.ok() && local->result->top.size() >= 3) {
       auto base =
           core::BuildBaseSet(*snap.corpus, query,
                              core::BaseSetMode::kIrWeighted,
@@ -480,10 +478,10 @@ int RunE2e(const ClientFlags& flags) {
       if (base.ok()) {
         reform::Reformulator reformulator(*snap.data, *snap.authority,
                                           *snap.corpus);
-        std::vector<graph::NodeId> feedback = {local->result.top[0].node,
-                                               local->result.top[2].node};
+        std::vector<graph::NodeId> feedback = {local->result->top[0].node,
+                                               local->result->top[2].node};
         auto result = reformulator.Reformulate(
-            query, snap.rates, *base, local->result.scores, feedback,
+            query, snap.rates, *base, local->result->scores, feedback,
             reform::ReformulationOptions{});
         same = result.ok() &&
                wire->reformulated_query == result->query.ToString();
