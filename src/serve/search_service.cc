@@ -64,6 +64,29 @@ void AppendOptionsKey(std::string& key, const core::SearchOptions& options) {
   key += "|";
 }
 
+// What a result-cache entry is charged against kScoreCacheBytes.
+size_t ScoreBytes(const core::SearchResult& result) {
+  return result.scores.size() * sizeof(double);
+}
+
+// Every field of `result` but its score vector: what a cache entry keeps
+// once the byte budget dropped the vector.
+std::shared_ptr<const core::SearchResult> WithoutScores(
+    const core::SearchResult& result) {
+  auto copy = std::make_shared<core::SearchResult>();
+  copy->from_cache = result.from_cache;
+  copy->top = result.top;
+  copy->iterations = result.iterations;
+  copy->converged = result.converged;
+  copy->base_set_size = result.base_set_size;
+  copy->seconds = result.seconds;
+  copy->tier_used = result.tier_used;
+  copy->error_bound = result.error_bound;
+  copy->escalated = result.escalated;
+  copy->cache_miss_reason = result.cache_miss_reason;
+  return copy;
+}
+
 }  // namespace
 
 std::string SearchService::RequestKeySuffix(
@@ -209,11 +232,8 @@ void SearchService::SubmitInternal(ServeRequest request,
     const std::string suffix = RequestKeySuffix(request.query, options);
     key = VersionPrefix(version) + suffix;
 
-    // A stage only takes a result computed against the snapshot it will
-    // run on, so it never probes the versions retained behind it.
     const bool stage = completion->is_stage();
-    const bool cached = LookupCacheLocked(
-        suffix, stage ? 1 : options_.result_cache_versions, hit);
+    const bool cached = LookupCacheLocked(suffix, stage, hit);
     const auto flight = cached ? flights_.end() : flights_.find(key);
     const bool executes = !cached && flight == flights_.end();
     // An execution takes an admission slot, and so does a stage — one
@@ -518,6 +538,9 @@ void SearchService::FinishExecution(
   }
 
   std::vector<Waiter> waiters;
+  // The cache's dropped references; the last one may free an n-entry
+  // vector, which must not happen while every request waits on mu_.
+  std::vector<std::shared_ptr<const core::SearchResult>> released;
   {
     MutexLock lock(mu_);
     // A stage leader's slot stays taken: its stage runs under it next.
@@ -533,7 +556,7 @@ void SearchService::FinishExecution(
     const uint64_t keep =
         std::max<uint64_t>(1, options_.result_cache_versions);
     if (shared != nullptr && version <= version_ && version_ - version < keep) {
-      CacheResultLocked(key, version, shared);
+      CacheResultLocked(key, version, shared, released);
     }
   }
 
@@ -613,15 +636,20 @@ void SearchService::ReleaseSlot() {
   --pending_;
 }
 
-bool SearchService::LookupCacheLocked(const std::string& suffix,
-                                      uint64_t versions, ServeResponse& hit) {
+bool SearchService::LookupCacheLocked(const std::string& suffix, bool stage,
+                                      ServeResponse& hit) {
   // Probe newest-first so a request always prefers the freshest retained
   // result for its query; older versions only answer when the current one
-  // has no entry yet (the window right after a hot swap).
-  const uint64_t keep = std::max<uint64_t>(1, versions);
+  // has no entry yet (the window right after a hot swap). A stage only
+  // takes a result computed against the snapshot it will run on, so it
+  // never probes the versions retained behind it.
+  const uint64_t keep =
+      stage ? 1 : std::max<uint64_t>(1, options_.result_cache_versions);
   for (uint64_t back = 0; back < keep && back < version_; ++back) {
     const std::string probe = VersionPrefix(version_ - back) + suffix;
     if (auto it = cached_.find(probe); it != cached_.end()) {
+      // A plain search reads only the top list; a stage needs the vector.
+      if (stage && it->second->result->scores.empty()) return false;
       lru_.splice(lru_.begin(), lru_, it->second);  // mark most recent
       hit.result = it->second->result;
       hit.cache_hit = true;
@@ -634,17 +662,39 @@ bool SearchService::LookupCacheLocked(const std::string& suffix,
 
 void SearchService::CacheResultLocked(
     const std::string& key, uint64_t version,
-    std::shared_ptr<const core::SearchResult> result) {
+    std::shared_ptr<const core::SearchResult> result,
+    std::vector<std::shared_ptr<const core::SearchResult>>& released) {
   if (options_.result_cache_entries == 0) return;
   if (auto it = cached_.find(key); it != cached_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
-    return;  // a coalesced burst already cached this key
+    // A coalesced burst already cached this key. If the budget has since
+    // dropped the entry's vector, this execution (a stage's) restores it.
+    CachedResult& entry = *it->second;
+    if (!entry.result->scores.empty()) return;
+    score_bytes_ += ScoreBytes(*result);
+    released.push_back(std::exchange(entry.result, std::move(result)));
+  } else {
+    score_bytes_ += ScoreBytes(*result);
+    lru_.push_front(CachedResult{key, version, std::move(result)});
+    cached_[key] = lru_.begin();
+    while (lru_.size() > options_.result_cache_entries) {
+      CachedResult& oldest = lru_.back();
+      score_bytes_ -= ScoreBytes(*oldest.result);
+      released.push_back(std::move(oldest.result));
+      cached_.erase(oldest.key);
+      lru_.pop_back();
+    }
   }
-  lru_.push_front(CachedResult{key, version, std::move(result)});
-  cached_[key] = lru_.begin();
-  while (lru_.size() > options_.result_cache_entries) {
-    cached_.erase(lru_.back().key);
-    lru_.pop_back();
+  // Past the byte budget, the least recently used entries that hold a
+  // vector drop it. The shared result is never mutated, only replaced by
+  // a score-less copy; a response already handed out keeps its vector
+  // alive by refcount.
+  for (auto it = lru_.rbegin();
+       score_bytes_ > kScoreCacheBytes && it != lru_.rend(); ++it) {
+    const size_t bytes = ScoreBytes(*it->result);
+    if (bytes == 0) continue;
+    score_bytes_ -= bytes;
+    released.push_back(std::exchange(it->result, WithoutScores(*it->result)));
   }
 }
 
@@ -652,6 +702,9 @@ void SearchService::SwapSnapshot(
     std::shared_ptr<const ServeSnapshot> snapshot) {
   ORX_CHECK_MSG(snapshot != nullptr && snapshot->Complete(),
                 "SwapSnapshot needs a complete snapshot");
+  // Declared before the lock, so the evicted results are freed after mu_
+  // is released.
+  std::vector<std::shared_ptr<const core::SearchResult>> released;
   MutexLock lock(mu_);
   snapshot_ = std::move(snapshot);
   ++version_;
@@ -661,6 +714,8 @@ void SearchService::SwapSnapshot(
   const uint64_t keep = std::max<uint64_t>(1, options_.result_cache_versions);
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (it->snapshot_version + keep <= version_) {
+      score_bytes_ -= ScoreBytes(*it->result);
+      released.push_back(std::move(it->result));
       cached_.erase(it->key);
       it = lru_.erase(it);
     } else {

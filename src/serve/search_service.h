@@ -50,7 +50,11 @@ struct ServeRequest {
 struct ServeResponse {
   /// The search result: immutable, and shared with the result cache and
   /// with every request it answered, so handing it on costs a refcount,
-  /// never a copy of its n-entry score vector.
+  /// never a copy of its n-entry score vector. `result->top` is always
+  /// complete. `result->scores` is the full vector for every stage
+  /// (SubmitStage) and for every executed or coalesced response; a plain
+  /// cache hit may carry an empty one, because the cache keeps vectors
+  /// only within SearchService::kScoreCacheBytes.
   std::shared_ptr<const core::SearchResult> result;
   /// The snapshot the request was admitted with; render node labels from
   /// it. `result` was computed against it, except that a plain search may
@@ -91,7 +95,12 @@ struct ServeResponse {
 /// successful results additionally populate an LRU result cache keyed by
 /// the normalized query terms/weights, the numeric search options, and the
 /// snapshot version, so repeated queries are served without touching the
-/// engine at all.
+/// engine at all. The cache bounds its entries by count
+/// (Options::result_cache_entries) and their score vectors by bytes
+/// (kScoreCacheBytes): past the budget, the least recently used entries
+/// keep their top list but drop their vector. A plain search is answered
+/// by either kind of entry. A stage needs the vector, so on an entry
+/// without one its search executes again, which restores the vector.
 ///
 /// The dataset is swapped atomically: each request pins the
 /// shared_ptr<const ServeSnapshot> that was current at submission and uses
@@ -132,7 +141,9 @@ class SearchService {
     /// kUnavailable.
     size_t max_pending = 64;
     /// Completed-result LRU capacity in entries; 0 disables result
-    /// caching (single-flight coalescing is controlled separately).
+    /// caching (single-flight coalescing is controlled separately). Every
+    /// entry keeps its top list; only the most recently used keep their
+    /// score vectors, within kScoreCacheBytes.
     size_t result_cache_entries = 512;
     /// How many of the most recent snapshot versions keep their cached
     /// results across SwapSnapshot(). 1 = a swap drops the whole cache
@@ -169,6 +180,13 @@ class SearchService {
     /// Deadline below which the policy marks a kAuto request kCached.
     double tier_cached_deadline_seconds = 0.02;
   };
+
+  /// The result cache's budget for score vectors, in bytes. Each entry is
+  /// charged scores.size() * sizeof(double). Past the budget the least
+  /// recently used entries that still hold a vector drop it; bytes never
+  /// evict an entry. At 22,640 nodes the budget holds 92 vectors, at
+  /// 876k nodes 2; a vector larger than the budget is dropped at once.
+  static constexpr size_t kScoreCacheBytes = size_t{16} << 20;
 
   /// `snapshot` must be Complete(). Worker threads start immediately.
   SearchService(std::shared_ptr<const ServeSnapshot> snapshot,
@@ -223,10 +241,12 @@ class SearchService {
   ///  - A stage that has started runs to completion: there is no
   ///    cancellation hook.
   ///  - `response.result` was computed against `response.snapshot`, the
-  ///    snapshot the request was admitted with. A cache entry retained
-  ///    from an older version (Options::result_cache_versions) is never
-  ///    used; the search executes, or coalesces, on the admitted
-  ///    snapshot instead.
+  ///    snapshot the request was admitted with, and carries its full
+  ///    score vector. A cache entry retained from an older version
+  ///    (Options::result_cache_versions), or one whose vector the byte
+  ///    budget dropped (kScoreCacheBytes), is never used; the search
+  ///    executes, or coalesces, on the admitted snapshot instead, and
+  ///    the execution restores the entry's vector.
   /// Exactly one of `stage` and `fail` runs. Search errors reach `fail`
   /// on the pool worker that resolved the search.
   void SubmitStage(ServeRequest request, Stage stage, Failure fail);
@@ -308,7 +328,8 @@ class SearchService {
     std::vector<Waiter> waiters;
   };
 
-  /// Completed result-cache entry (LRU list node).
+  /// Completed result-cache entry (LRU list node). `result` is replaced
+  /// by a score-less copy when the byte budget drops its vector.
   struct CachedResult {
     std::string key;
     uint64_t snapshot_version = 0;
@@ -354,10 +375,11 @@ class SearchService {
   static std::string RequestKeySuffix(const text::QueryVector& query,
                                       const core::SearchOptions& options);
 
-  /// Probes the result cache for `suffix` under the newest `versions`
-  /// retained snapshot versions, newest first (caller holds mu_). On a
-  /// hit promotes the entry, fills `hit`, and returns true.
-  bool LookupCacheLocked(const std::string& suffix, uint64_t versions,
+  /// Probes the result cache for `suffix` under the retained snapshot
+  /// versions, newest first (caller holds mu_). A stage probes only the
+  /// current version and takes no entry whose score vector was dropped.
+  /// On a hit promotes the entry, fills `hit`, and returns true.
+  bool LookupCacheLocked(const std::string& suffix, bool stage,
                          ServeResponse& hit) ORX_REQUIRES(mu_);
 
   /// The batch-compatibility fingerprint: RequestKey minus the query
@@ -416,9 +438,15 @@ class SearchService {
   /// Returns one admission slot.
   void ReleaseSlot();
 
-  /// Inserts a completed result into the LRU (caller holds mu_).
-  void CacheResultLocked(const std::string& key, uint64_t version,
-                         std::shared_ptr<const core::SearchResult> result)
+  /// Inserts a completed result into the LRU, or restores the score
+  /// vector of the entry already there, then enforces both cache bounds
+  /// (caller holds mu_). The cache's references to evicted results and
+  /// dropped vectors move to `released`, for the caller to free after
+  /// mu_ is released.
+  void CacheResultLocked(
+      const std::string& key, uint64_t version,
+      std::shared_ptr<const core::SearchResult> result,
+      std::vector<std::shared_ptr<const core::SearchResult>>& released)
       ORX_REQUIRES(mu_);
 
   const Options options_;
@@ -438,6 +466,8 @@ class SearchService {
   std::list<CachedResult> lru_ ORX_GUARDED_BY(mu_);  // front = most recent
   std::unordered_map<std::string, std::list<CachedResult>::iterator> cached_
       ORX_GUARDED_BY(mu_);
+  /// Bytes of the score vectors lru_'s entries hold.
+  size_t score_bytes_ ORX_GUARDED_BY(mu_) = 0;
 
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> rejected_{0};

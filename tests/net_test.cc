@@ -684,8 +684,9 @@ struct FullStack {
   std::unique_ptr<Server> server;
 
   explicit FullStack(serve::SearchService::Options service_options = {},
-                     ServerOptions server_options = TestServerOptions()) {
-    snapshot = MakeSnapshot(80, 11);
+                     ServerOptions server_options = TestServerOptions(),
+                     uint32_t papers = 80) {
+    snapshot = MakeSnapshot(papers, 11);
     service = std::make_unique<serve::SearchService>(snapshot,
                                                      service_options);
     handler = std::make_unique<ServeHandler>(service.get());
@@ -1228,6 +1229,39 @@ TEST(NetFullStackTest, ConcurrentPaperSessionsMatchInProcessGoldens) {
   EXPECT_EQ(stats.frames_received, 4u * kConnections * kSessions);
   EXPECT_EQ(stats.frames_sent, 4u * kConnections * kSessions);
   EXPECT_EQ(stats.unanswered_frames, 0u);
+}
+
+TEST(NetFullStackTest, StagesOnADroppedVectorMatchInProcessGoldens) {
+  // 30,600 nodes: the result cache's byte budget holds `fit` score
+  // vectors, far fewer than its 512 entries. Once `fit` newer searches
+  // have dropped Q's vector, explain re-executes Q's search, which
+  // restores the vector for the reformulate after it.
+  FullStack stack({}, TestServerOptions(), 20000);
+  ASSERT_TRUE(stack.server->Start().ok());
+  const size_t fit = serve::SearchService::kScoreCacheBytes /
+                     (stack.snapshot->data->num_nodes() * sizeof(double));
+  const std::vector<std::string> terms =
+      HeadTerms(*stack.snapshot->corpus, fit + 1);
+  ASSERT_EQ(terms.size(), fit + 1);
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()).ok());
+  for (const std::string& t : terms) {
+    auto search = client.Search({t, 10, 0.0});
+    ASSERT_TRUE(search.ok()) << search.status();
+  }
+
+  const std::string& query = terms[0];
+  const SessionGolden golden = GoldenSession(*stack.snapshot, query, {1, 2});
+  const uint64_t executed = stack.service->Snapshot().executed;
+  auto explain = client.Explain({query, 1});
+  ASSERT_TRUE(explain.ok()) << explain.status();
+  EXPECT_EQ(explain->text, golden.explain_text);
+  auto reform = client.Reformulate({query, {1, 2}});
+  ASSERT_TRUE(reform.ok()) << reform.status();
+  EXPECT_EQ(reform->reformulated_query, golden.reformulated_query);
+  EXPECT_EQ(stack.service->Snapshot().executed, executed + 1);
+  stack.server->Shutdown();
+  EXPECT_EQ(stack.server->stats().unanswered_frames, 0u);
 }
 
 }  // namespace

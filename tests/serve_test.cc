@@ -72,6 +72,48 @@ core::SearchResult DirectSearch(const ServeSnapshot& snap,
   return *result;
 }
 
+/// Runs a no-op stage on `query_text` and returns the response it was
+/// handed (an empty one, after a test failure, if the stage failed).
+ServeResponse StagedResponse(SearchService& service,
+                             const std::string& query_text) {
+  std::promise<ServeResponse> staged;
+  auto future = staged.get_future();
+  service.SubmitStage(
+      MakeRequest(query_text),
+      [&staged](const ServeResponse& response) { staged.set_value(response); },
+      [&staged](const Status& status) {
+        ADD_FAILURE() << status;
+        staged.set_value(ServeResponse{});
+      });
+  return future.get();
+}
+
+/// A snapshot whose score vectors outgrow SearchService::kScoreCacheBytes
+/// long before the default entry bound: 30,600 nodes, so the budget
+/// holds 68 vectors against 512 entries.
+std::shared_ptr<const ServeSnapshot> MakeBudgetSnapshot() {
+  return MakeDblpSnapshot(20000, 31);
+}
+
+/// How many of `snap`'s score vectors fit SearchService::kScoreCacheBytes.
+size_t VectorsInBudget(const ServeSnapshot& snap) {
+  return SearchService::kScoreCacheBytes /
+         (snap.data->num_nodes() * sizeof(double));
+}
+
+/// Waits up to five seconds for `result` to be freed. The worker that
+/// completed a request lets go of the results the cache released just
+/// after it delivered the response.
+bool Expires(const std::weak_ptr<const core::SearchResult>& result) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!result.expired()) {
+    if (std::chrono::steady_clock::now() >= give_up) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 TEST(SearchServiceTest, ConcurrentSubmitsMatchSequentialResults) {
   auto snap = MakeDblpSnapshot(250, 3);
   const std::vector<std::string> terms = TopTerms(*snap->corpus, 12);
@@ -577,21 +619,88 @@ TEST(SearchServiceStageTest, StageNeverUsesAnEntryFromAnOlderVersion) {
   EXPECT_EQ(retained->snapshot_version, 1u);
   EXPECT_EQ(retained->snapshot, grown);
 
-  std::promise<ServeResponse> staged;
-  auto future = staged.get_future();
-  service.SubmitStage(
-      MakeRequest(term),
-      [&staged](const ServeResponse& response) { staged.set_value(response); },
-      [&staged](const Status& status) {
-        ADD_FAILURE() << status;
-        staged.set_value(ServeResponse{});
-      });
-  const ServeResponse response = future.get();
+  const ServeResponse response = StagedResponse(service, term);
   ASSERT_NE(response.result, nullptr);
   EXPECT_FALSE(response.cache_hit);
   EXPECT_EQ(response.snapshot_version, 2u);
   EXPECT_EQ(response.snapshot, grown);
   EXPECT_EQ(response.result->scores, DirectSearch(*grown, term).scores);
+}
+
+TEST(SearchServiceTest, ScoreVectorsStayWithinTheByteBudget) {
+  auto snap = MakeBudgetSnapshot();
+  SearchService::Options options;
+  const size_t fit = VectorsInBudget(*snap);
+  ASSERT_LT(4 * fit, options.result_cache_entries);
+  const std::vector<std::string> terms = TopTerms(*snap->corpus, fit + 8);
+  ASSERT_EQ(terms.size(), fit + 8);
+  SearchService service(snap, options);
+
+  // Sequential misses, so LRU order is submission order. Only a weak_ptr
+  // outlives each response: a result stays alive only if the cache still
+  // holds it.
+  std::vector<std::weak_ptr<const core::SearchResult>> held;
+  std::vector<core::SearchResult> first;  // score-less copies
+  for (const std::string& t : terms) {
+    auto response = service.Search(MakeRequest(t));
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_FALSE(response->cache_hit) << t;
+    ASSERT_EQ(response->result->scores.size(), snap->data->num_nodes());
+    held.push_back(response->result);
+    core::SearchResult copy = *response->result;
+    copy.scores = std::vector<double>();
+    first.push_back(std::move(copy));
+  }
+  const size_t dropped = terms.size() - fit;
+  for (size_t i = 0; i < terms.size(); ++i) {
+    if (i < dropped) {
+      EXPECT_TRUE(Expires(held[i])) << terms[i];
+    } else {
+      EXPECT_FALSE(held[i].expired()) << terms[i];
+    }
+  }
+  const uint64_t executed = service.Snapshot().executed;
+  EXPECT_EQ(executed, terms.size());
+
+  // Bytes evicted no entry: a second pass is all hits with the first
+  // pass's top lists, and only the newest `fit` still carry a vector.
+  for (size_t i = 0; i < terms.size(); ++i) {
+    auto response = service.Search(MakeRequest(terms[i]));
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_TRUE(response->cache_hit) << terms[i];
+    const core::SearchResult& hit = *response->result;
+    EXPECT_EQ(hit.top, first[i].top) << terms[i];
+    EXPECT_EQ(hit.iterations, first[i].iterations) << terms[i];
+    EXPECT_EQ(hit.base_set_size, first[i].base_set_size) << terms[i];
+    EXPECT_EQ(hit.tier_used, first[i].tier_used) << terms[i];
+    EXPECT_EQ(hit.scores.empty(), i < dropped) << terms[i];
+  }
+  EXPECT_EQ(service.Snapshot().executed, executed);
+}
+
+TEST(SearchServiceStageTest, StageOnADroppedVectorReexecutes) {
+  auto snap = MakeBudgetSnapshot();
+  const size_t fit = VectorsInBudget(*snap);
+  const std::vector<std::string> terms = TopTerms(*snap->corpus, fit + 1);
+  ASSERT_EQ(terms.size(), fit + 1);
+  SearchService service(snap, SearchService::Options{});
+  // terms[0] first: the `fit` newer vectors push its vector out.
+  for (const std::string& t : terms) {
+    ASSERT_TRUE(service.Search(MakeRequest(t)).ok()) << t;
+  }
+  const std::string& term = terms[0];
+  const core::SearchResult expected = DirectSearch(*snap, term);
+
+  // The first stage re-executes and restores the vector; the second hits.
+  for (const bool expect_hit : {false, true}) {
+    const uint64_t executed = service.Snapshot().executed;
+    const ServeResponse response = StagedResponse(service, term);
+    ASSERT_NE(response.result, nullptr);
+    EXPECT_EQ(response.cache_hit, expect_hit);
+    EXPECT_EQ(response.snapshot, snap);
+    EXPECT_EQ(response.result->scores, expected.scores);
+    EXPECT_EQ(service.Snapshot().executed, executed + (expect_hit ? 0 : 1));
+  }
 }
 
 TEST(SearchServiceTest, MetricsSnapshotConsistentUnderLoad) {

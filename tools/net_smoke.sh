@@ -6,6 +6,8 @@
 # stages share the server's pool, then a short load burst, and checks
 # the accounting: every e2e client passes, zero dropped (unanswered)
 # frames, zero unexpected error frames, and a clean SIGTERM drain.
+# It prints the server's service bounds once it is up and its peak RSS
+# (VmHWM) before the drain, so every run records the server's memory.
 #
 # usage: tools/net_smoke.sh [build-dir] [load-seconds] [connections]
 set -euo pipefail
@@ -35,6 +37,7 @@ for _ in $(seq 1 120); do
 done
 [ -n "$PORT" ] || { echo "server never reported its port"; cat "$SERVE_LOG"; exit 1; }
 echo "=== orx_serve up on port $PORT ==="
+grep "^orx_serve: service " "$SERVE_LOG" || true
 
 echo "=== e2e: $E2E_CLIENTS concurrent clients, wire vs in-process goldens ==="
 for i in $(seq 1 "$E2E_CLIENTS"); do
@@ -71,6 +74,9 @@ if [ -z "$ERRORS" ] || [ "$ERRORS" -ne 0 ]; then
   echo "FAILED: expected zero error frames, saw '${ERRORS:-unparsed}'"
   exit 1
 fi
+
+echo "=== server peak RSS ==="
+grep VmHWM "/proc/$SERVE_PID/status" || echo "VmHWM: unavailable"
 
 echo "=== SIGTERM drain ==="
 kill -TERM "$SERVE_PID"

@@ -48,6 +48,7 @@
 #include "common/table.h"
 #include "common/timer.h"
 #include "core/base_set.h"
+#include "core/searcher.h"
 #include "dataset_spec.h"
 #include "datasets/zipf.h"
 #include "explain/explainer.h"
@@ -357,6 +358,26 @@ int RunInteractive(const ClientFlags& flags) {
 
 // --- e2e -------------------------------------------------------------------
 
+/// A fresh search of `query` on `snap`, with the options `service`
+/// resolves for a request that sets none: the explain and reformulate
+/// goldens need its full score vector, which a result-cache hit may not
+/// carry (serve::ServeResponse::result).
+StatusOr<core::SearchResult> GoldenSearch(const serve::SearchService& service,
+                                          const serve::ServeSnapshot& snap,
+                                          const text::QueryVector& query) {
+  core::Searcher searcher(*snap.data, *snap.authority, *snap.corpus);
+  if (snap.rank_cache != nullptr) {
+    searcher.AttachRankCache(snap.rank_cache.get());
+  }
+  if (snap.fused_cache != nullptr) {
+    searcher.AttachFusedCache(snap.fused_cache);
+  }
+  core::SearchOptions options = snap.default_options;
+  options.objectrank.num_threads = serve::SearchService::CapIntraQueryThreads(
+      options.objectrank.num_threads, service.num_threads());
+  return searcher.Search(query, snap.rates, options);
+}
+
 #define E2E_CHECK(cond, what)                                       \
   do {                                                              \
     if (cond) {                                                     \
@@ -434,11 +455,9 @@ int RunE2e(const ClientFlags& flags) {
     const uint32_t rank = 2;
     auto wire = client.Explain({q, rank});
     text::QueryVector query(text::ParseQuery(q));
-    serve::ServeRequest request;
-    request.query = query;
-    auto local = golden.Search(std::move(request));
+    auto local = GoldenSearch(golden, snap, query);
     bool same = false;
-    if (wire.ok() && local.ok() && local->result->top.size() >= rank) {
+    if (wire.ok() && local.ok() && local->top.size() >= rank) {
       auto base =
           core::BuildBaseSet(*snap.corpus, query,
                              core::BaseSetMode::kIrWeighted,
@@ -446,8 +465,8 @@ int RunE2e(const ClientFlags& flags) {
       if (base.ok()) {
         explain::Explainer explainer(*snap.data, *snap.authority);
         auto explanation = explainer.Explain(
-            local->result->top[rank - 1].node, *base, local->result->scores,
-            snap.rates, snap.default_options.objectrank.damping,
+            local->top[rank - 1].node, *base, local->scores, snap.rates,
+            snap.default_options.objectrank.damping,
             explain::ExplainOptions{});
         same = explanation.ok() &&
                wire->text == explanation->subgraph.ToString(*snap.data);
@@ -466,11 +485,9 @@ int RunE2e(const ClientFlags& flags) {
     const std::string& q = queries.front();
     auto wire = client.Reformulate({q, {1, 3}});
     text::QueryVector query(text::ParseQuery(q));
-    serve::ServeRequest request;
-    request.query = query;
-    auto local = golden.Search(std::move(request));
+    auto local = GoldenSearch(golden, snap, query);
     bool same = false;
-    if (wire.ok() && local.ok() && local->result->top.size() >= 3) {
+    if (wire.ok() && local.ok() && local->top.size() >= 3) {
       auto base =
           core::BuildBaseSet(*snap.corpus, query,
                              core::BaseSetMode::kIrWeighted,
@@ -478,11 +495,11 @@ int RunE2e(const ClientFlags& flags) {
       if (base.ok()) {
         reform::Reformulator reformulator(*snap.data, *snap.authority,
                                           *snap.corpus);
-        std::vector<graph::NodeId> feedback = {local->result->top[0].node,
-                                               local->result->top[2].node};
-        auto result = reformulator.Reformulate(
-            query, snap.rates, *base, local->result->scores, feedback,
-            reform::ReformulationOptions{});
+        std::vector<graph::NodeId> feedback = {local->top[0].node,
+                                               local->top[2].node};
+        auto result =
+            reformulator.Reformulate(query, snap.rates, *base, local->scores,
+                                     feedback, reform::ReformulationOptions{});
         same = result.ok() &&
                wire->reformulated_query == result->query.ToString();
       }

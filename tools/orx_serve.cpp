@@ -189,6 +189,13 @@ int main(int argc, char** argv) {
   service_options.enable_tier_policy = flags.tier_policy;
   service_options.tier_cached_deadline_seconds = flags.tier_cached_deadline;
   serve::SearchService service(dataset.snapshot, service_options);
+  std::printf(
+      "orx_serve: service threads=%zu max_pending=%zu cache_entries=%zu "
+      "cache_versions=%zu score_budget_mib=%zu\n",
+      service.num_threads(), service_options.max_pending,
+      service_options.result_cache_entries,
+      service_options.result_cache_versions,
+      serve::SearchService::kScoreCacheBytes >> 20);
   if (flags.tier_policy) {
     std::printf("orx_serve: tier policy on (cached<%.3fs)\n",
                 flags.tier_cached_deadline);
