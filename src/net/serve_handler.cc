@@ -1,6 +1,7 @@
 #include "net/serve_handler.h"
 
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/base_set.h"
@@ -205,6 +206,19 @@ void ServeHandler::HandleReformulate(Frame frame, ResponderPtr respond) {
         id, InvalidArgumentError("reformulate needs at least one "
                                  "feedback rank")));
     return;
+  }
+  // Each listed rank costs one explanation inside the stage, and a
+  // started stage runs to completion, so a repeated rank is refused here,
+  // before it can take an admission slot: a request then costs at most
+  // one explanation per result.
+  std::unordered_set<uint32_t> seen;
+  for (uint32_t rank : request->feedback_ranks) {
+    if (!seen.insert(rank).second) {
+      respond->Send(EncodeErrorFrame(
+          id, InvalidArgumentError("feedback rank " + std::to_string(rank) +
+                                   " is repeated")));
+      return;
+    }
   }
   auto query = ParseWireQuery(request->query);
   if (!query.ok()) {

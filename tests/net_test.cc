@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/timer.h"
 #include "core/base_set.h"
 #include "core/searcher.h"
 #include "datasets/dblp_generator.h"
@@ -1260,6 +1261,42 @@ TEST(NetFullStackTest, StagesOnADroppedVectorMatchInProcessGoldens) {
   ASSERT_TRUE(reform.ok()) << reform.status();
   EXPECT_EQ(reform->reformulated_query, golden.reformulated_query);
   EXPECT_EQ(stack.service->Snapshot().executed, executed + 1);
+  stack.server->Shutdown();
+  EXPECT_EQ(stack.server->stats().unanswered_frames, 0u);
+}
+
+TEST(NetFullStackTest, RepeatedFeedbackRankIsRefusedBeforeAdmission) {
+  // Every listed rank is one explanation inside one stage, and a started
+  // stage runs to completion: a frame repeating a rank must be refused
+  // on the loop, before it takes an admission slot.
+  FullStack stack;
+  ASSERT_TRUE(stack.server->Start().ok());
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()).ok());
+  const std::string query = HeadTerm(*stack.snapshot->corpus);
+  ASSERT_TRUE(client.Search({query, 10, 0.0}).ok());
+
+  const uint64_t submitted = stack.service->Snapshot().submitted;
+  auto twice = client.Reformulate({query, {1, 1}});
+  ASSERT_FALSE(twice.ok());
+  EXPECT_EQ(twice.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(twice.status().message().find("feedback rank 1"),
+            std::string::npos)
+      << twice.status();
+  EXPECT_EQ(stack.service->Snapshot().submitted, submitted);
+
+  Timer timer;
+  auto flood = client.Reformulate(
+      {query, std::vector<uint32_t>(100'000, 1)});
+  EXPECT_LT(timer.ElapsedSeconds(), 1.0);
+  ASSERT_FALSE(flood.ok());
+  EXPECT_EQ(flood.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(stack.service->Snapshot().submitted, submitted);
+
+  const SessionGolden golden = GoldenSession(*stack.snapshot, query, {1, 2});
+  auto reform = client.Reformulate({query, {1, 2}});
+  ASSERT_TRUE(reform.ok()) << reform.status();
+  EXPECT_EQ(reform->reformulated_query, golden.reformulated_query);
   stack.server->Shutdown();
   EXPECT_EQ(stack.server->stats().unanswered_frames, 0u);
 }

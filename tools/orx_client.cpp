@@ -505,6 +505,19 @@ int RunE2e(const ClientFlags& flags) {
       }
     }
     E2E_CHECK(same, "reformulate {1,3} matches local reformulator");
+
+    // A repeated rank is refused before the stage is admitted, however
+    // many times the frame repeats it.
+    auto twice = client.Reformulate({q, {1, 1}});
+    E2E_CHECK(!twice.ok() &&
+                  twice.status().code() == StatusCode::kInvalidArgument,
+              "reformulate {1,1} -> kInvalidArgument error frame");
+    Timer flood_timer;
+    auto flood = client.Reformulate({q, std::vector<uint32_t>(100000, 1)});
+    E2E_CHECK(!flood.ok() &&
+                  flood.status().code() == StatusCode::kInvalidArgument &&
+                  flood_timer.ElapsedSeconds() < 1.0,
+              "reformulate 100,000 x rank 1 -> kInvalidArgument within 1 s");
   }
 
   {
