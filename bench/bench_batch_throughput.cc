@@ -34,8 +34,8 @@ struct BatchRun {
 // Repeats fixed-work batch solves (epsilon = 0: every lane executes
 // exactly max_iterations passes) until `min_seconds` of wall time
 // accrues. All lanes are warm-started with a dense vector so the whole
-// batch runs the block SpMM from iteration 1 — the steady-state regime
-// the serving layer batches for.
+// batch runs the block SpMM from iteration 1 — the regime of a rank
+// cache refresh, whose lanes start from their previous vectors.
 BatchRun TimeBatch(const orx::core::ObjectRankEngine& engine,
                    const std::vector<orx::core::BaseSet>& bases,
                    const orx::graph::TransferRates& rates,

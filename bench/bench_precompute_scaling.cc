@@ -1,8 +1,9 @@
 // Thread-sweep for the parallel RankCache build: per-term ObjectRank
 // vectors are independent (the combination of Section 6's precomputation
-// strategy is linear in them), so the offline build should scale with
-// worker threads while its ORXC2 container stays byte-identical to the
-// sequential build's. Reports wall time, speedup vs 1 thread, iteration
+// strategy is linear in them), so the offline build solves them in
+// blocks of up to 8 terms per block power iteration and should scale
+// with worker threads while its ORXC2 container stays byte-identical to
+// the sequential build's. Reports wall time, speedup vs 1 thread, iteration
 // counts, and per-term p50/p95 for each thread count.
 
 #include <unistd.h>
@@ -145,10 +146,12 @@ int main() {
   std::printf("%s\n", table.ToString().c_str());
   bench::WriteJsonFile("BENCH_precompute_scaling.json",
                        bench::JsonArray(records));
-  std::printf("Each term's power iteration is sequential; threads only "
-              "change which worker ranks which term, never the arithmetic, "
-              "so the ORXC2 container must be byte-identical at every "
-              "thread count. Speedup tracks physical cores (the per-term "
-              "pull loops are memory-bound).\n");
+  std::printf("Terms are solved in blocks of up to 8 per block power "
+              "iteration, each lane bit-identical to a per-term solve; "
+              "threads only change which worker ranks which block and how "
+              "wide the blocks are, never the arithmetic, so the ORXC2 "
+              "container must be byte-identical at every thread count. "
+              "Speedup tracks physical cores (the pull passes are "
+              "memory-bound).\n");
   return 0;
 }

@@ -91,8 +91,8 @@ struct BatchQuery {
   /// Optional per-lane cancellation hook, checked once before each of
   /// this lane's iterations (in addition to the batch-wide options.cancel,
   /// which cancels every lane). A tripped lane retires from the block as
-  /// cancelled; the remaining lanes keep iterating — this is how the
-  /// serving layer expires one lane's deadline without aborting the batch.
+  /// cancelled; the remaining lanes keep iterating, so one lane's
+  /// deadline can expire without aborting the batch.
   std::function<bool()> cancel;
 };
 
@@ -142,7 +142,9 @@ class ObjectRankEngine {
   /// the graph across the batch: dense lanes advance together through one
   /// SpMM pass per iteration (graph::FusedPullBlockRange) over a
   /// node-major BlockVector, so structure + fused weights are read once
-  /// per pass for all B iterates instead of once per query.
+  /// per pass for all B iterates instead of once per query. RankCache's
+  /// builds are its caller: all of their terms are known up front, so no
+  /// query ever waits for a block to fill.
   ///
   /// Per-lane semantics are exactly Compute's — queries[i]'s scores,
   /// iteration count, and converged/cancelled flags are bit-identical to

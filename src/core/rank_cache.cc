@@ -22,8 +22,12 @@ RankCache::Options SanitizeOptions(RankCache::Options options) {
   return options;
 }
 
-// Outcome of ranking one term on a worker: the cache entry plus the
-// per-term counters the BuildStats aggregation needs.
+// Terms per ObjectRankEngine::ComputeBatch call in a build: one block
+// power iteration streams the graph once for up to this many terms.
+constexpr size_t kBlockLanes = 8;
+
+// Outcome of ranking one term: the cache entry plus the per-term
+// counters the BuildStats aggregation needs.
 struct TermBuildResult {
   bool built = false;
   double mass = 0.0;
@@ -33,52 +37,35 @@ struct TermBuildResult {
   double seconds = 0.0;
 };
 
-// Ranks one term: its IR-weighted base set (idf * tf-factor per posting,
-// normalized) pushed through the power iteration. Pure function of its
-// inputs — safe to run concurrently for distinct output slots.
-TermBuildResult RankOneTerm(const ObjectRankEngine& engine,
-                            const text::Corpus& corpus,
-                            const graph::TransferRates& rates,
-                            const std::string& term,
-                            const RankCache::Options& options,
-                            const std::vector<double>* warm_start = nullptr) {
-  TermBuildResult result;
-  Timer timer;
-  // The term's unnormalized IR scores: a single-term query vector with
-  // weight 1 has query factor 1, so ScoreBaseSet yields idf * tf-factor
-  // per matching document.
+// The term's IR-weighted base set (idf * tf-factor per posting,
+// normalized) and its unnormalized mass; empty when the term has no
+// postings.
+BaseSet TermBaseSet(const text::Corpus& corpus, const std::string& term,
+                    const text::Bm25Params& bm25, double* mass) {
+  // A single-term query vector with weight 1 has query factor 1, so
+  // ScoreBaseSet yields idf * tf-factor per matching document.
   text::QueryVector unit;
   unit.SetWeight(term, 1.0);
-  auto scored = text::ScoreBaseSet(corpus, unit, options.bm25);
-  if (scored.empty()) return result;
-
-  double mass = 0.0;
-  for (const auto& [doc, score] : scored) mass += score;
+  auto scored = text::ScoreBaseSet(corpus, unit, bm25);
   BaseSet base;
-  if (mass > 0.0) {
-    base.entries.reserve(scored.size());
+  if (scored.empty()) return base;
+  *mass = 0.0;
+  for (const auto& [doc, score] : scored) *mass += score;
+  base.entries.reserve(scored.size());
+  if (*mass > 0.0) {
     for (const auto& [doc, score] : scored) {
-      base.entries.emplace_back(doc, score / mass);
+      base.entries.emplace_back(doc, score / *mass);
     }
   } else {
     // Degenerate all-zero IR scores: uniform, mass = |postings| so the
     // combination still weights the term by its spread.
-    mass = static_cast<double>(scored.size());
+    *mass = static_cast<double>(scored.size());
     const double w = 1.0 / static_cast<double>(scored.size());
     for (const auto& [doc, score] : scored) {
       base.entries.emplace_back(doc, w);
     }
   }
-
-  ObjectRankResult rank =
-      engine.Compute(base, rates, options.objectrank, warm_start);
-  result.built = true;
-  result.mass = mass;
-  result.scores.assign(rank.scores.begin(), rank.scores.end());
-  result.iterations = rank.iterations;
-  result.converged = rank.converged;
-  result.seconds = timer.ElapsedSeconds();
-  return result;
+  return base;
 }
 
 // Percentile over an ascending-sorted sample (nearest-rank); 0 if empty.
@@ -134,72 +121,143 @@ RankCache RankCache::BuildForTerms(const graph::AuthorityGraph& graph,
                                    const text::Corpus& corpus,
                                    const graph::TransferRates& rates,
                                    const std::vector<std::string>& terms,
-                                   const Options& raw_options,
+                                   const Options& options,
                                    BuildStats* stats) {
-  const Options options = SanitizeOptions(raw_options);
+  BuildStats local;
+  size_t reused = 0;
+  return BuildTerms(graph, corpus, rates, terms, SanitizeOptions(options),
+                    /*previous=*/nullptr, /*reuse=*/nullptr,
+                    stats != nullptr ? *stats : local, reused);
+}
+
+RankCache RankCache::BuildTerms(
+    const graph::AuthorityGraph& graph, const text::Corpus& corpus,
+    const graph::TransferRates& rates, const std::vector<std::string>& terms,
+    const Options& options, const RankCache* previous,
+    const std::function<bool(const std::string&)>& reuse, BuildStats& stats,
+    size_t& reused) {
   Timer wall_timer;
   RankCache cache;
   cache.num_nodes_ = graph.num_nodes();
   cache.rates_fingerprint_ = rates.Fingerprint();
   cache.bm25_ = options.bm25;
 
-  // Unique terms in first-appearance order. Every worker writes only its
-  // own slot of `results`, and the merge below walks the slots in this
-  // fixed order — the parallel build is therefore deterministic and
-  // serializes byte-identically to the sequential one.
+  // Unique terms in first-appearance order, and the ones to solve. Every
+  // block writes only its own terms' slots of `results`, and the merge
+  // below walks the slots in this fixed order, so the cache (and its
+  // ORXC2 container) is the same for every thread count.
   std::vector<std::string> unique;
-  unique.reserve(terms.size());
+  std::vector<uint8_t> reuse_term;
+  std::vector<size_t> work;
   {
     std::unordered_set<std::string> seen;
     for (const std::string& term : terms) {
-      if (seen.insert(term).second) unique.push_back(term);
+      if (!seen.insert(term).second) continue;
+      const bool keep = reuse != nullptr && reuse(term);
+      if (!keep) work.push_back(unique.size());
+      unique.push_back(term);
+      reuse_term.push_back(keep ? 1 : 0);
     }
   }
+
+  // Blocks of `lanes` consecutive work terms (the last one may be
+  // short): the widest power of two up to kBlockLanes that still gives
+  // every worker two blocks, so no worker idles while another finishes
+  // a last full-width block. Lane results are bit-identical to per-term
+  // Compute calls (tests/batch_kernel_test.cc), so the blocking never
+  // changes a vector.
+  const size_t threads = std::min<size_t>(
+      static_cast<size_t>(options.build_threads),
+      std::max<size_t>(1, work.size()));
+  size_t lanes = kBlockLanes;
+  while (lanes > 1 && lanes * 2 * threads > work.size()) lanes /= 2;
+  const size_t blocks = (work.size() + lanes - 1) / lanes;
 
   ObjectRankEngine engine(graph);
   std::vector<TermBuildResult> results(unique.size());
-  const int threads =
-      static_cast<int>(std::min<size_t>(
-          static_cast<size_t>(options.build_threads),
-          std::max<size_t>(1, unique.size())));
+  const auto solve_block = [&](size_t b) {
+    const size_t begin = b * lanes;
+    const size_t end = std::min(work.size(), begin + lanes);
+    Timer timer;
+    std::vector<BaseSet> bases(end - begin);
+    std::vector<std::vector<double>> warm(end - begin);
+    std::vector<BatchQuery> queries;
+    std::vector<size_t> slots;  // unique-term index of each query
+    for (size_t w = begin; w < end; ++w) {
+      const size_t i = work[w];
+      BaseSet& base = bases[w - begin];
+      base = TermBaseSet(corpus, unique[i], options.bm25, &results[i].mass);
+      if (base.empty()) continue;
+      BatchQuery query;
+      query.base = &base;
+      if (previous != nullptr) {
+        if (auto it = previous->entries_.find(unique[i]);
+            it != previous->entries_.end()) {
+          // Warm start from the previous vector, padded with zeros for
+          // newly added nodes. Compressed entries materialize densely
+          // (dropped scores seed as 0 — still far closer to the new
+          // fixpoint than the base set is).
+          const std::vector<float> dense = previous->DenseScores(it->second);
+          std::vector<double>& seed = warm[w - begin];
+          seed.assign(dense.begin(), dense.end());
+          seed.resize(graph.num_nodes(), 0.0);
+          query.warm_start = &seed;
+        }
+      }
+      queries.push_back(query);
+      slots.push_back(i);
+    }
+    if (queries.empty()) return;
+    std::vector<ObjectRankResult> ranks =
+        engine.ComputeBatch(queries, rates, options.objectrank);
+    // Lanes share every pass, so each is charged an equal share of the
+    // block's wall time.
+    const double seconds =
+        timer.ElapsedSeconds() / static_cast<double>(slots.size());
+    for (size_t l = 0; l < slots.size(); ++l) {
+      TermBuildResult& r = results[slots[l]];
+      r.built = true;
+      r.scores.assign(ranks[l].scores.begin(), ranks[l].scores.end());
+      r.iterations = ranks[l].iterations;
+      r.converged = ranks[l].converged;
+      r.seconds = seconds;
+    }
+  };
   if (threads <= 1) {
-    for (size_t i = 0; i < unique.size(); ++i) {
-      results[i] = RankOneTerm(engine, corpus, rates, unique[i], options);
-    }
+    for (size_t b = 0; b < blocks; ++b) solve_block(b);
   } else {
-    ThreadPool pool(static_cast<size_t>(threads));
-    pool.ParallelFor(unique.size(), [&](size_t i) {
-      results[i] = RankOneTerm(engine, corpus, rates, unique[i], options);
-    });
+    ThreadPool pool(threads);
+    pool.ParallelFor(blocks, solve_block);
   }
 
+  stats = BuildStats{};
+  stats.terms_requested = terms.size();
+  stats.threads = static_cast<int>(threads);
+  reused = 0;
+  std::vector<double> durations;
+  durations.reserve(work.size());
   for (size_t i = 0; i < unique.size(); ++i) {
-    if (!results[i].built) continue;
-    Entry entry;
-    entry.mass = results[i].mass;
-    entry.scores = std::move(results[i].scores);
-    cache.entries_.emplace(unique[i], std::move(entry));
-  }
-
-  if (stats != nullptr) {
-    *stats = BuildStats{};
-    stats->terms_requested = terms.size();
-    stats->threads = threads;
-    std::vector<double> durations;
-    durations.reserve(results.size());
-    for (const TermBuildResult& r : results) {
-      if (!r.built) continue;
-      ++stats->terms_built;
-      stats->total_iterations += r.iterations;
-      if (!r.converged) ++stats->terms_not_converged;
-      durations.push_back(r.seconds);
+    if (reuse_term[i] != 0) {
+      cache.entries_.emplace(unique[i], previous->entries_.at(unique[i]));
+      ++reused;
+      continue;
     }
-    stats->terms_skipped = stats->terms_requested - stats->terms_built;
-    std::sort(durations.begin(), durations.end());
-    stats->term_seconds_p50 = SortedPercentile(durations, 0.50);
-    stats->term_seconds_p95 = SortedPercentile(durations, 0.95);
-    stats->wall_seconds = wall_timer.ElapsedSeconds();
+    TermBuildResult& r = results[i];
+    if (!r.built) continue;
+    Entry entry;
+    entry.mass = r.mass;
+    entry.scores = std::move(r.scores);
+    cache.entries_.emplace(unique[i], std::move(entry));
+    ++stats.terms_built;
+    stats.total_iterations += r.iterations;
+    if (!r.converged) ++stats.terms_not_converged;
+    durations.push_back(r.seconds);
   }
+  stats.terms_skipped = stats.terms_requested - stats.terms_built - reused;
+  std::sort(durations.begin(), durations.end());
+  stats.term_seconds_p50 = SortedPercentile(durations, 0.50);
+  stats.term_seconds_p95 = SortedPercentile(durations, 0.95);
+  stats.wall_seconds = wall_timer.ElapsedSeconds();
   return cache;
 }
 
@@ -446,108 +504,30 @@ RankCache RankCache::IncrementalBuild(
                           previous.num_nodes_ <= graph.num_nodes();
   if (!compatible ||
       dirty_fraction > incremental_options.full_rebuild_threshold) {
-    RankCache cold =
-        BuildForTerms(graph, corpus, rates, terms, options, &out->build);
+    RankCache cold = BuildTerms(graph, corpus, rates, terms, options,
+                                /*previous=*/nullptr, /*reuse=*/nullptr,
+                                out->build, out->terms_reused);
     out->full_rebuild = true;
     out->terms_refreshed = cold.entries_.size();
     out->build.wall_seconds = wall_timer.ElapsedSeconds();
     return cold;
   }
 
-  // Unique terms in first-appearance order — the same determinism
-  // discipline as BuildForTerms: workers write disjoint slots, the merge
-  // walks them in this fixed order.
-  std::vector<std::string> unique;
-  unique.reserve(terms.size());
-  {
-    std::unordered_set<std::string> seen;
-    for (const std::string& term : terms) {
-      if (seen.insert(term).second) unique.push_back(term);
-    }
-  }
-
-  // Classify: a term is clean iff the corpus statistics held still, it is
-  // cached, the node count did not change (new nodes carry new text, so
-  // equality is implied by !stats_changed — kept as a guard), and its
-  // cached flow never scores positive on the dirty region.
+  // A term is clean iff the corpus statistics held still, it is cached,
+  // the node count did not change (new nodes carry new text, so equality
+  // is implied by !stats_changed — kept as a guard), and its cached flow
+  // never scores positive on the dirty region. Every other term is
+  // recomputed, warm-started from its previous vector when it has one.
   const bool reusable =
       !stats_changed && previous.num_nodes_ == graph.num_nodes();
-  std::vector<uint8_t> dirty_term(unique.size(), 1);
-  if (reusable) {
-    for (size_t i = 0; i < unique.size(); ++i) {
-      const bool cached = previous.Contains(unique[i]);
-      dirty_term[i] = static_cast<uint8_t>(
-          !cached || previous.TermTouchesRegion(unique[i], dirty_nodes));
-    }
-  }
-
-  RankCache cache;
-  cache.num_nodes_ = graph.num_nodes();
-  cache.rates_fingerprint_ = rates.Fingerprint();
-  cache.bm25_ = options.bm25;
-
-  std::vector<size_t> work;
-  for (size_t i = 0; i < unique.size(); ++i) {
-    if (dirty_term[i] != 0) work.push_back(i);
-  }
-
-  ObjectRankEngine engine(graph);
-  std::vector<TermBuildResult> results(unique.size());
-  const auto refresh_one = [&](size_t w) {
-    const size_t i = work[w];
-    std::vector<double> warm;
-    const std::vector<double>* warm_ptr = nullptr;
-    auto prev_it = previous.entries_.find(unique[i]);
-    if (prev_it != previous.entries_.end()) {
-      // Compressed previous entries materialize densely for the warm
-      // start (dropped scores seed as 0 — still far closer to the new
-      // fixpoint than the base set is).
-      const std::vector<float> prev_scores =
-          previous.DenseScores(prev_it->second);
-      warm.assign(prev_scores.begin(), prev_scores.end());
-      warm.resize(graph.num_nodes(), 0.0);
-      warm_ptr = &warm;
-    }
-    results[i] = RankOneTerm(engine, corpus, rates, unique[i], options,
-                             warm_ptr);
+  const auto clean = [&](const std::string& term) {
+    return reusable && previous.Contains(term) &&
+           !previous.TermTouchesRegion(term, dirty_nodes);
   };
-  const int threads = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(options.build_threads),
-                       std::max<size_t>(1, work.size())));
-  if (threads <= 1) {
-    for (size_t w = 0; w < work.size(); ++w) refresh_one(w);
-  } else {
-    ThreadPool pool(static_cast<size_t>(threads));
-    pool.ParallelFor(work.size(), refresh_one);
-  }
-
-  std::vector<double> durations;
-  durations.reserve(work.size());
-  for (size_t i = 0; i < unique.size(); ++i) {
-    if (dirty_term[i] == 0) {
-      cache.entries_.emplace(unique[i], previous.entries_.at(unique[i]));
-      ++out->terms_reused;
-      continue;
-    }
-    TermBuildResult& r = results[i];
-    if (!r.built) continue;
-    Entry entry;
-    entry.mass = r.mass;
-    entry.scores = std::move(r.scores);
-    cache.entries_.emplace(unique[i], std::move(entry));
-    ++out->terms_refreshed;
-    ++out->build.terms_built;
-    out->build.total_iterations += r.iterations;
-    if (!r.converged) ++out->build.terms_not_converged;
-    durations.push_back(r.seconds);
-  }
-  out->build.terms_requested = terms.size();
-  out->build.terms_skipped = out->build.terms_requested -
-                             out->build.terms_built - out->terms_reused;
-  out->build.threads = threads;
-  std::sort(durations.begin(), durations.end());
-  out->build.term_seconds_p50 = SortedPercentile(durations, 0.50);
-  out->build.term_seconds_p95 = SortedPercentile(durations, 0.95);
+  RankCache cache = BuildTerms(graph, corpus, rates, terms, options,
+                               &previous, clean, out->build,
+                               out->terms_reused);
+  out->terms_refreshed = out->build.terms_built;
   out->build.wall_seconds = wall_timer.ElapsedSeconds();
   return cache;
 }

@@ -2,6 +2,7 @@
 #define ORX_CORE_RANK_CACHE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -51,15 +52,20 @@ class RankCache {
     /// Cache at most this many terms, most frequent first.
     size_t max_terms = static_cast<size_t>(-1);
     /// Worker threads for the offline build. Per-term rank vectors are
-    /// independent, so the build fans one power iteration per term out to
-    /// a pool; entries are merged in term order, making the result (and
-    /// its ORXC2 container) byte-identical to the sequential build. 0
-    /// means one thread per hardware core.
+    /// independent, so the build solves them in blocks of up to 8 terms,
+    /// one ObjectRankEngine::ComputeBatch call per block and one block
+    /// per pool task; entries are merged in term order, making the result
+    /// (and its ORXC2 container) byte-identical to the sequential build
+    /// and to per-term Compute calls. 0 means one thread per hardware
+    /// core.
     int build_threads = 1;
   };
 
   /// Per-stage counters/timers of one Build/BuildForTerms run. All times
-  /// are wall-clock; per-term percentiles are over built terms only.
+  /// are wall-clock; per-term percentiles are over built terms only. A
+  /// pool task solves a block of up to 8 terms in one block power
+  /// iteration, so each term is charged its block's wall time divided by
+  /// the block's lane count (the terms of the block that have postings).
   struct BuildStats {
     /// Terms requested, including duplicates and unknown terms.
     size_t terms_requested = 0;
@@ -76,7 +82,8 @@ class RankCache {
     int threads = 1;
     /// End-to-end build time, including scoring and the merge.
     double wall_seconds = 0.0;
-    /// Median / 95th-percentile per-term time (score + power iteration).
+    /// Median / 95th-percentile per-term time: the term's share of its
+    /// block's scoring and block power iteration.
     double term_seconds_p50 = 0.0;
     double term_seconds_p95 = 0.0;
 
@@ -390,6 +397,22 @@ class RankCache {
   std::vector<float> DenseScores(const Entry& entry) const;
 
   RankCache() = default;
+
+  /// The build behind BuildForTerms and IncrementalBuild (options
+  /// already sanitized). Dedupes `terms` (first appearance wins), copies
+  /// the entries of the terms `reuse` claims from `previous` verbatim,
+  /// and solves the rest in blocks of up to 8 terms per
+  /// ObjectRankEngine::ComputeBatch call, one block per pool task, each
+  /// term warm-started from its `previous` entry when there is one. An
+  /// empty `reuse` claims no term; a null `previous` warm-starts none.
+  /// Fills `stats`, and `reused` with the count of copied entries.
+  static RankCache BuildTerms(
+      const graph::AuthorityGraph& graph, const text::Corpus& corpus,
+      const graph::TransferRates& rates,
+      const std::vector<std::string>& terms, const Options& options,
+      const RankCache* previous,
+      const std::function<bool(const std::string&)>& reuse,
+      BuildStats& stats, size_t& reused);
 
   /// Test-only backdoor (tests/rank_cache_test.cc) for forging invalid
   /// internal states that the public API cannot produce.

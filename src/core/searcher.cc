@@ -62,118 +62,6 @@ StatusOr<SearchResult> Searcher::Search(const text::QueryVector& query,
   return SearchBaseline(query, rates, options);
 }
 
-std::vector<StatusOr<SearchResult>> Searcher::SearchBatch(
-    const std::vector<BatchSearchRequest>& requests,
-    const graph::TransferRates& rates, const SearchOptions& options) {
-  std::vector<StatusOr<SearchResult>> out;
-  out.reserve(requests.size());
-  if (Status valid = ValidateOptions(options); !valid.ok()) {
-    for (size_t i = 0; i < requests.size(); ++i) out.push_back(valid);
-    return out;
-  }
-
-  if (options.mode == RankMode::kObjectRankBaseline) {
-    // The Equation 16 per-keyword product has no block form: run the
-    // lanes one by one with each lane's hook chained in.
-    for (const BatchSearchRequest& request : requests) {
-      if (request.query.empty()) {
-        out.push_back(InvalidArgumentError("empty query vector"));
-        continue;
-      }
-      SearchOptions lane_options = options;
-      if (request.cancel) {
-        std::function<bool()> shared = options.objectrank.cancel;
-        std::function<bool()> mine = request.cancel;
-        lane_options.objectrank.cancel = [shared, mine] {
-          return (shared && shared()) || mine();
-        };
-      }
-      out.push_back(SearchBaseline(request.query, rates, lane_options));
-    }
-    return out;
-  }
-
-  // ObjectRank2: base-set construction and the rank-cache fast path run
-  // per lane; the remaining lanes share one block power iteration.
-  struct Lane {
-    size_t index;
-    BaseSet base;
-  };
-  std::vector<Lane> lanes;
-  lanes.reserve(requests.size());
-  std::vector<CacheMissReason> miss(requests.size(), CacheMissReason::kNone);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const BatchSearchRequest& request = requests[i];
-    out.push_back(Status(StatusCode::kInternal, "unset"));
-    if (request.query.empty()) {
-      out[i] = InvalidArgumentError("empty query vector");
-      continue;
-    }
-    auto base = BuildBaseSet(*corpus_, request.query,
-                             BaseSetMode::kIrWeighted, options.bm25);
-    if (!base.ok()) {
-      out[i] = base.status();
-      continue;
-    }
-    if (options.tier != SearchTier::kExact) {
-      if (std::optional<SearchResult> hit = TryCacheAnswer(
-              request.query, rates, options, *base, &miss[i])) {
-        out[i] = *std::move(hit);
-        continue;
-      }
-    }
-    lanes.push_back(Lane{i, *std::move(base)});
-  }
-  if (lanes.empty()) return out;
-
-  // Every lane gets the session seed Search would use; the batch leaves
-  // the session state untouched (see the header contract).
-  const std::vector<double>* seed = nullptr;
-  if (options.use_warm_start) {
-    if (has_previous_) {
-      seed = &previous_scores_;
-    } else if (has_global_) {
-      seed = &global_scores_;
-    }
-  }
-
-  std::vector<BatchQuery> queries;
-  queries.reserve(lanes.size());
-  for (const Lane& lane : lanes) {
-    BatchQuery query;
-    query.base = &lane.base;
-    query.warm_start = seed;
-    query.cancel = requests[lane.index].cancel;
-    queries.push_back(std::move(query));
-  }
-  Timer timer;
-  std::vector<ObjectRankResult> ranks =
-      engine_.ComputeBatch(queries, rates, options.objectrank);
-  const double seconds = timer.ElapsedSeconds();
-
-  for (size_t k = 0; k < lanes.size(); ++k) {
-    if (ranks[k].cancelled) {
-      out[lanes[k].index] = DeadlineExceededError(
-          "search cancelled after " + std::to_string(ranks[k].iterations) +
-          " iterations");
-      continue;
-    }
-    SearchResult result;
-    // The block solve is shared, so each lane reports its wall time.
-    result.seconds = seconds;
-    result.iterations = ranks[k].iterations;
-    result.converged = ranks[k].converged;
-    result.base_set_size = lanes[k].base.size();
-    result.escalated = options.tier == SearchTier::kCached;
-    result.cache_miss_reason = miss[lanes[k].index];
-    result.top =
-        TopKOfType(ranks[k].scores, options.k, *data_, options.result_type);
-    result.scores = std::move(ranks[k].scores);
-    out[lanes[k].index] = std::move(result);
-  }
-  return out;
-}
-
 std::optional<SearchResult> Searcher::TryCacheAnswer(
     const text::QueryVector& query, const graph::TransferRates& rates,
     const SearchOptions& options, const BaseSet& base,

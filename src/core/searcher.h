@@ -85,18 +85,6 @@ struct SearchOptions {
   SearchTier tier = SearchTier::kAuto;
 };
 
-/// One query of a Searcher::SearchBatch call. Options are shared across
-/// the batch (the serving layer only batches requests whose numeric
-/// options agree); the per-query inputs are the query vector and an
-/// optional cancellation hook.
-struct BatchSearchRequest {
-  text::QueryVector query;
-  /// Per-query cooperative cancellation (e.g. this request's serving
-  /// deadline), checked once per power iteration of this lane. A tripped
-  /// lane fails with kDeadlineExceeded; the other lanes are unaffected.
-  std::function<bool()> cancel;
-};
-
 /// Outcome of one search.
 struct SearchResult {
   /// True if the result came from the precomputed rank cache rather than
@@ -175,27 +163,6 @@ class Searcher {
   StatusOr<SearchResult> Search(const text::QueryVector& query,
                                 const graph::TransferRates& rates,
                                 const SearchOptions& options = {});
-
-  /// Runs a batch of searches as one block power iteration
-  /// (ObjectRankEngine::ComputeBatch): base-set construction, rank-cache
-  /// fast path, and top-k extraction run per lane, while the cache-miss
-  /// lanes share every streaming read of the graph. requests[i]'s entry
-  /// in the returned vector carries exactly the result/status Search
-  /// would produce for that query — same errors (kNotFound,
-  /// kInvalidArgument, kDeadlineExceeded on a tripped cancel hook) and,
-  /// in ObjectRank2 mode, bit-identical scores.
-  ///
-  /// Session-state contract: every lane is seeded from the session's
-  /// current warm-start state (as Search would be), but the batch does
-  /// NOT update previous_scores_ — lanes are concurrent, so "the previous
-  /// query" is ill-defined. The serving layer constructs a fresh Searcher
-  /// per batch, so this only matters for long-lived sessions.
-  ///
-  /// Baseline-mode batches fall back to per-lane runs (the Equation 16
-  /// product has no block form).
-  std::vector<StatusOr<SearchResult>> SearchBatch(
-      const std::vector<BatchSearchRequest>& requests,
-      const graph::TransferRates& rates, const SearchOptions& options = {});
 
   /// Forgets warm-start state (previous scores and global seed).
   void ResetSession();

@@ -16,8 +16,11 @@ bool RanksBetter(const ScoredNode& a, const ScoredNode& b) {
 
 std::vector<ScoredNode> HeapTopK(const std::vector<double>& scores, size_t k,
                                  const auto& keep) {
+  // The heap never holds more than min(k, |scores|) entries; reserving
+  // k itself would let a caller's k (2^32 - 1 off the wire) allocate
+  // gigabytes before a single score is read.
   std::vector<ScoredNode> heap;
-  heap.reserve(k + 1);
+  heap.reserve(std::min(k, scores.size()));
   auto heap_cmp = [](const ScoredNode& a, const ScoredNode& b) {
     return RanksBetter(a, b);  // makes the *worst* element the heap top
   };

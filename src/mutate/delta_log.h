@@ -16,12 +16,16 @@ namespace orx::mutate {
 /// background SnapshotBuilder (the orrp-style writer/consumer split).
 ///
 /// Writers Append() validated batches and receive a monotonically
-/// increasing sequence number — the acknowledgment means *accepted and
-/// durable in the log*, not yet visible to readers; visibility arrives
-/// with the next snapshot publication that covers the sequence. When the
-/// queue is at capacity Append fails fast with kUnavailable (the same
-/// backpressure contract as SearchService admission) instead of blocking
-/// the serving thread.
+/// increasing sequence number. The acknowledgment means *accepted into
+/// this in-memory log*, not yet visible to readers; visibility arrives
+/// with the next snapshot publication that covers the sequence. It is
+/// not durable: a clean SnapshotBuilder::Stop() drains every accepted
+/// batch into a publication, but a crash (kill -9) loses the batches
+/// still queued or unpublished — nothing is written to disk until a
+/// write-ahead log exists (ROADMAP item 6(a)). When the queue is at
+/// capacity Append fails fast with kUnavailable (the same backpressure
+/// contract as SearchService admission) instead of blocking the serving
+/// thread.
 ///
 /// The consumer side (one SnapshotBuilder) blocks in Drain() until work
 /// or Close(). All methods are thread-safe.

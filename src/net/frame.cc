@@ -419,10 +419,10 @@ std::string EncodeMetricsResponse(const MetricsResponse& response) {
   AppendU64(&out, m.deadline_exceeded);
   AppendU64(&out, m.failed);
   AppendU64(&out, m.completed);
-  AppendU64(&out, m.batches);
-  AppendU64(&out, m.batched_queries);
-  AppendU64(&out, m.batch_occupancy_max);
-  AppendDouble(&out, m.batch_occupancy_mean);
+  AppendU64(&out, 0);  // reserved: older decoders read batch count
+  AppendU64(&out, 0);  // reserved: older decoders read batched queries
+  AppendU64(&out, 0);  // reserved: older decoders read max occupancy
+  AppendDouble(&out, 0.0);  // reserved: older decoders read mean occupancy
   AppendDouble(&out, m.uptime_seconds);
   AppendDouble(&out, m.qps);
   AppendDouble(&out, m.latency_mean);
@@ -476,13 +476,16 @@ StatusOr<MetricsResponse> DecodeMetricsResponse(const std::string& payload) {
       in.reader().ReadU64(&m.deadline_exceeded, "deadline_exceeded"));
   ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.failed, "failed"));
   ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.completed, "completed"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.batches, "batches"));
+  // Reserved slots are read and ignored, whatever an older server wrote.
+  uint64_t reserved = 0;
+  double reserved_double = 0.0;
+  ORX_RETURN_IF_ERROR(in.reader().ReadU64(&reserved, "reserved batch count"));
   ORX_RETURN_IF_ERROR(
-      in.reader().ReadU64(&m.batched_queries, "batched_queries"));
+      in.reader().ReadU64(&reserved, "reserved batched queries"));
   ORX_RETURN_IF_ERROR(
-      in.reader().ReadU64(&m.batch_occupancy_max, "batch_occupancy_max"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadDouble(&m.batch_occupancy_mean,
-                                             "batch_occupancy_mean"));
+      in.reader().ReadU64(&reserved, "reserved max occupancy"));
+  ORX_RETURN_IF_ERROR(
+      in.reader().ReadDouble(&reserved_double, "reserved mean occupancy"));
   ORX_RETURN_IF_ERROR(
       in.reader().ReadDouble(&m.uptime_seconds, "uptime_seconds"));
   ORX_RETURN_IF_ERROR(in.reader().ReadDouble(&m.qps, "qps"));
@@ -522,8 +525,6 @@ StatusOr<MetricsResponse> DecodeMetricsResponse(const std::string& payload) {
   ORX_RETURN_IF_ERROR(in.reader().ReadU64(&response.rank_terms_refreshed,
                                           "rank_terms_refreshed"));
   if (!in.AtEnd()) {
-    uint64_t reserved = 0;
-    double reserved_seconds = 0.0;
     ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.tier_exact, "tier_exact"));
     ORX_RETURN_IF_ERROR(in.reader().ReadU64(&reserved, "reserved tier slot"));
     ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.tier_cached, "tier_cached"));
@@ -543,9 +544,9 @@ StatusOr<MetricsResponse> DecodeMetricsResponse(const std::string& payload) {
     ORX_RETURN_IF_ERROR(
         in.reader().ReadDouble(&m.tier_exact_p99, "tier_exact_p99"));
     ORX_RETURN_IF_ERROR(
-        in.reader().ReadDouble(&reserved_seconds, "reserved tier p50"));
+        in.reader().ReadDouble(&reserved_double, "reserved tier p50"));
     ORX_RETURN_IF_ERROR(
-        in.reader().ReadDouble(&reserved_seconds, "reserved tier p99"));
+        in.reader().ReadDouble(&reserved_double, "reserved tier p99"));
     ORX_RETURN_IF_ERROR(
         in.reader().ReadDouble(&m.tier_cached_p50, "tier_cached_p50"));
     ORX_RETURN_IF_ERROR(

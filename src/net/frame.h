@@ -230,10 +230,13 @@ std::string EncodeMetricsResponse(const MetricsResponse& response);
 StatusOr<MetricsResponse> DecodeMetricsResponse(const std::string& payload);
 
 /// kMutate request: one mutation batch for the server's delta log. A
-/// success response acknowledges *acceptance into the log*, not reader
-/// visibility — that arrives with the next snapshot publication covering
-/// the sequence. Rejections (static validation, log full, read-only
-/// server) arrive as kError frames carrying the corresponding status.
+/// success response acknowledges *acceptance into the in-memory log*,
+/// not reader visibility — that arrives with the next snapshot
+/// publication covering the sequence — and not durability: a clean
+/// server shutdown publishes every acknowledged batch, but a crash loses
+/// those not yet published (mutate/delta_log.h). Rejections (static
+/// validation, log full, read-only server) arrive as kError frames
+/// carrying the corresponding status.
 struct MutateRequest {
   mutate::MutationBatch batch;
 };

@@ -19,10 +19,10 @@ void AppendDouble(std::string& out, double value) {
   out += buf;
 }
 
-// "v<version>|": the key prefix that scopes cache entries and batch
-// windows to one snapshot version. Kept separate from the options/query
-// suffix so the cache lookup can probe retained older versions by
-// re-prefixing the same suffix.
+// "v<version>|": the key prefix that scopes cache entries to one
+// snapshot version. Kept separate from the options/query suffix so the
+// cache lookup can probe retained older versions by re-prefixing the
+// same suffix.
 std::string VersionPrefix(uint64_t version) {
   std::string prefix = "v";
   prefix += std::to_string(version);
@@ -30,9 +30,8 @@ std::string VersionPrefix(uint64_t version) {
   return prefix;
 }
 
-// The numeric-options fingerprint shared by RequestKeySuffix (which
-// appends the normalized query) and BatchKey (which appends the rates
-// fingerprint instead).
+// The numeric-options fingerprint of RequestKeySuffix, which appends the
+// normalized query to it.
 void AppendOptionsKey(std::string& key, const core::SearchOptions& options) {
   key += "m";
   key += std::to_string(static_cast<int>(options.mode));
@@ -58,7 +57,7 @@ void AppendOptionsKey(std::string& key, const core::SearchOptions& options) {
   AppendDouble(key, options.bm25.k3);
   // The resolved tier shapes the result (a kExact request must not be
   // answered by a compressed cache hit, and a kCached fallback reports
-  // itself escalated), so it splits the cache/batch keyspace.
+  // itself escalated), so it splits the cache keyspace.
   key += "T";
   key += std::to_string(static_cast<int>(options.tier));
   key += "|";
@@ -110,17 +109,6 @@ std::string SearchService::RequestKeySuffix(
   return key;
 }
 
-std::string SearchService::BatchKey(const core::SearchOptions& options,
-                                    uint64_t version,
-                                    uint64_t rates_fingerprint) {
-  std::string key = VersionPrefix(version);
-  key.reserve(96);
-  AppendOptionsKey(key, options);
-  key += "r";
-  key += std::to_string(rates_fingerprint);
-  return key;
-}
-
 int SearchService::CapIntraQueryThreads(int requested, size_t pool_workers) {
   const size_t hardware = ThreadPool::HardwareThreads();
   const int cap = static_cast<int>(
@@ -135,21 +123,13 @@ SearchService::SearchService(std::shared_ptr<const ServeSnapshot> snapshot,
       snapshot_(std::move(snapshot)) {
   ORX_CHECK_MSG(snapshot_ != nullptr && snapshot_->Complete(),
                 "SearchService needs a complete snapshot");
+  ORX_CHECK_MSG(options_.max_batch_size == 1 && !options_.enable_tier_policy,
+                "micro-batching and the tier policy are deleted; leave "
+                "max_batch_size and enable_tier_policy at their defaults");
   pool_ = std::make_unique<ThreadPool>(options_.num_threads);
 }
 
 SearchService::~SearchService() {
-  {
-    // Wake batch leaders sleeping on their collection window so shutdown
-    // doesn't have to sit out max_batch_delay_ms; their lanes run (and
-    // their futures resolve) during the pool drain below.
-    MutexLock lock(mu_);
-    for (auto& [key, batch] : open_batches_) {
-      batch->closed = true;
-      batch->cv.SignalAll();
-    }
-    open_batches_.clear();
-  }
   // Drain before any other member dies: tasks touch the maps and metrics.
   // Wait() first, with pool_ still set: a finishing execution may submit
   // its stage as a further task.
@@ -197,16 +177,13 @@ void SearchService::SubmitInternal(ServeRequest request,
           : Clock::time_point::max();
   completion->deadline = deadline;
 
-  enum class Action { kHit, kCoalesce, kReject, kLead, kJoinBatch,
-                      kLeadBatch };
+  enum class Action { kHit, kCoalesce, kReject, kLead };
   Action action;
   ServeResponse hit;
   std::shared_ptr<const ServeSnapshot> snap;
   uint64_t version = 0;
   core::SearchOptions options;
   std::string key;
-  std::shared_ptr<PendingBatch> new_batch;
-  std::string batch_key;
   {
     MutexLock lock(mu_);
     snap = snapshot_;
@@ -218,16 +195,15 @@ void SearchService::SubmitInternal(ServeRequest request,
     options.objectrank.num_threads = CapIntraQueryThreads(
         options.objectrank.num_threads, pool_->num_threads());
     if (request.k != 0) options.k = request.k;
-    // Tier resolution, strongest signal first: the per-request hint, then
-    // the policy (only for requests still on kAuto). Resolved BEFORE the
-    // key is computed — the tier is part of the keyspace.
+    // No top list is longer than the graph, so every k past the node
+    // count asks for the same result: clamped before the key is built,
+    // such requests share one execution and one cache entry.
+    options.k = std::min(options.k,
+                         std::max<size_t>(1, snap->data->num_nodes()));
+    // The per-request tier hint overrides the options' tier. Resolved
+    // BEFORE the key is computed — the tier is part of the keyspace.
     if (request.tier != core::SearchTier::kAuto) {
       options.tier = request.tier;
-    }
-    if (options_.enable_tier_policy &&
-        options.tier == core::SearchTier::kAuto && has_deadline &&
-        deadline_seconds < options_.tier_cached_deadline_seconds) {
-      options.tier = core::SearchTier::kCached;
     }
     const std::string suffix = RequestKeySuffix(request.query, options);
     key = VersionPrefix(version) + suffix;
@@ -259,48 +235,7 @@ void SearchService::SubmitInternal(ServeRequest request,
       if (options_.single_flight) {
         flights_.emplace(key, std::make_shared<Flight>());
       }
-      if (options_.max_batch_size > 1) {
-        // Batch scheduler: this execution becomes a lane of an open
-        // collection window with a compatible fingerprint, or opens one.
-        // The lane keeps its own flight key, promise, and deadline; the
-        // caller's cancel hook moves out of the shared options (it is
-        // per lane, and not part of any key).
-        batch_key = BatchKey(options, version, snap->rates.Fingerprint());
-        BatchLane lane;
-        lane.key = std::move(key);
-        lane.query = std::move(request.query);
-        lane.caller_cancel = std::move(options.objectrank.cancel);
-        options.objectrank.cancel = nullptr;
-        lane.completion = completion;
-        lane.submit_time = submit_time;
-        lane.deadline = deadline;
-        lane.has_deadline = has_deadline;
-        if (auto it = open_batches_.find(batch_key);
-            it != open_batches_.end() && !it->second->closed &&
-            it->second->lanes.size() < options_.max_batch_size) {
-          it->second->lanes.push_back(std::move(lane));
-          if (it->second->lanes.size() >= options_.max_batch_size) {
-            // Full: flush now. Erasing under the same lock that joined
-            // the lane means late arrivals open a fresh window instead
-            // of racing this one's execution.
-            it->second->closed = true;
-            it->second->cv.Signal();
-            open_batches_.erase(it);
-          }
-          action = Action::kJoinBatch;
-        } else {
-          new_batch = std::make_shared<PendingBatch>();
-          new_batch->snapshot = snap;
-          new_batch->version = version;
-          new_batch->options = options;
-          new_batch->created = submit_time;
-          new_batch->lanes.push_back(std::move(lane));
-          open_batches_[batch_key] = new_batch;
-          action = Action::kLeadBatch;
-        }
-      } else {
-        action = Action::kLead;
-      }
+      action = Action::kLead;
     }
   }
 
@@ -330,14 +265,6 @@ void SearchService::SubmitInternal(ServeRequest request,
         Execute(std::move(key), std::move(request), std::move(snap), version,
                 std::move(options), std::move(completion), submit_time,
                 deadline, has_deadline);
-      });
-      break;
-    case Action::kJoinBatch:
-      break;  // the window's leader task executes and fulfills us
-    case Action::kLeadBatch:
-      pool_->Submit([this, batch = std::move(new_batch),
-                     batch_key = std::move(batch_key)]() mutable {
-        ExecuteBatch(std::move(batch), std::move(batch_key));
       });
       break;
   }
@@ -389,120 +316,14 @@ void SearchService::Execute(std::string key, ServeRequest request,
   }
 
   FinishExecution(key, snapshot, version, std::move(result), completion,
-                  submit_time, queue_seconds, /*batch_lanes=*/0);
-}
-
-void SearchService::ExecuteBatch(std::shared_ptr<PendingBatch> batch,
-                                 std::string batch_key) {
-  std::vector<BatchLane> lanes;
-  {
-    MutexLock lock(mu_);
-    const Clock::time_point flush_at =
-        batch->created +
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(options_.max_batch_delay_ms /
-                                          1e3));
-    // Sleep until the window fills (a joiner closes it and notifies) or
-    // its delay expires. Spurious wakeups just re-check the predicate;
-    // WaitUntil returning false means the delay expired.
-    while (!batch->closed) {
-      if (!batch->cv.WaitUntil(mu_, flush_at)) break;
-    }
-    if (!batch->closed) {
-      // Expired: close and unpublish it so late arrivals open a fresh
-      // window instead of joining one that is about to run.
-      batch->closed = true;
-      if (auto it = open_batches_.find(batch_key);
-          it != open_batches_.end() && it->second == batch) {
-        open_batches_.erase(it);
-      }
-    }
-    lanes = std::move(batch->lanes);
-  }
-  RunBatch(batch, std::move(lanes));
-}
-
-void SearchService::RunBatch(const std::shared_ptr<PendingBatch>& batch,
-                             std::vector<BatchLane> lanes) {
-  const Clock::time_point start = Clock::now();
-
-  // Lanes whose deadline expired while the window collected fail without
-  // computing — exactly the queued-expiry path of a solo execution; the
-  // rest of the batch goes on.
-  std::vector<size_t> live;
-  live.reserve(lanes.size());
-  for (size_t i = 0; i < lanes.size(); ++i) {
-    BatchLane& lane = lanes[i];
-    if (lane.has_deadline && start >= lane.deadline) {
-      const double queue_seconds = ToSeconds(start - lane.submit_time);
-      FinishExecution(lane.key, batch->snapshot, batch->version,
-                      DeadlineExceededError("deadline expired while queued (" +
-                                            std::to_string(queue_seconds) +
-                                            "s)"),
-                      lane.completion, lane.submit_time, queue_seconds,
-                      /*batch_lanes=*/0);
-    } else {
-      live.push_back(i);
-    }
-  }
-  if (live.empty()) return;
-
-  std::vector<core::BatchSearchRequest> requests;
-  requests.reserve(live.size());
-  for (const size_t i : live) {
-    BatchLane& lane = lanes[i];
-    core::BatchSearchRequest request;
-    request.query = std::move(lane.query);
-    if (lane.has_deadline) {
-      // Chain this lane's deadline onto its caller hook; either retires
-      // only this lane from the block.
-      const Clock::time_point deadline = lane.deadline;
-      std::function<bool()> caller = lane.caller_cancel;
-      request.cancel = [deadline, caller] {
-        return Clock::now() >= deadline || (caller && caller());
-      };
-    } else {
-      request.cancel = lane.caller_cancel;
-    }
-    requests.push_back(std::move(request));
-  }
-
-  const std::shared_ptr<const ServeSnapshot>& snapshot = batch->snapshot;
-  // One fresh Searcher serves the whole batch (it is one "session" of
-  // concurrent lanes); graphs, corpus, and caches are shared immutable
-  // snapshot members, as in Execute().
-  core::Searcher searcher(*snapshot->data, *snapshot->authority,
-                          *snapshot->corpus);
-  if (snapshot->rank_cache != nullptr) {
-    searcher.AttachRankCache(snapshot->rank_cache.get());
-  }
-  if (snapshot->fused_cache != nullptr) {
-    searcher.AttachFusedCache(snapshot->fused_cache);
-  }
-  std::vector<StatusOr<core::SearchResult>> results =
-      searcher.SearchBatch(requests, snapshot->rates, batch->options);
-
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batched_queries_.fetch_add(live.size(), std::memory_order_relaxed);
-  uint64_t seen = batch_occupancy_max_.load(std::memory_order_relaxed);
-  while (seen < live.size() &&
-         !batch_occupancy_max_.compare_exchange_weak(
-             seen, live.size(), std::memory_order_relaxed)) {
-  }
-
-  for (size_t k = 0; k < live.size(); ++k) {
-    BatchLane& lane = lanes[live[k]];
-    FinishExecution(lane.key, snapshot, batch->version, std::move(results[k]),
-                    lane.completion, lane.submit_time,
-                    ToSeconds(start - lane.submit_time), live.size());
-  }
+                  submit_time, queue_seconds);
 }
 
 void SearchService::FinishExecution(
     const std::string& key,
     const std::shared_ptr<const ServeSnapshot>& snapshot, uint64_t version,
     StatusOr<core::SearchResult> result, const CompletionPtr& completion,
-    Clock::time_point submit_time, double queue_seconds, size_t batch_lanes) {
+    Clock::time_point submit_time, double queue_seconds) {
   executed_.fetch_add(1, std::memory_order_relaxed);
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kDeadlineExceeded) {
@@ -566,7 +387,6 @@ void SearchService::FinishExecution(
     response.snapshot = snapshot;
     response.snapshot_version = version;
     response.queue_seconds = queue_seconds;
-    response.batch_lanes = batch_lanes;
     Fulfill(completion, std::move(response), submit_time);
     // Waiters share the leader's key, hence its version and snapshot.
     for (Waiter& w : waiters) {
@@ -575,7 +395,6 @@ void SearchService::FinishExecution(
       echoed.snapshot = snapshot;
       echoed.coalesced = true;
       echoed.snapshot_version = version;
-      echoed.batch_lanes = batch_lanes;
       Fulfill(w.completion, std::move(echoed), w.submit_time);
     }
   } else {
@@ -751,15 +570,6 @@ ServeMetrics SearchService::Snapshot() const {
   m.executed = executed_.load(std::memory_order_relaxed);
   m.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
   m.failed = failed_.load(std::memory_order_relaxed);
-  m.batches = batches_.load(std::memory_order_relaxed);
-  m.batched_queries = batched_queries_.load(std::memory_order_relaxed);
-  m.batch_occupancy_max =
-      batch_occupancy_max_.load(std::memory_order_relaxed);
-  m.batch_occupancy_mean =
-      m.batches > 0
-          ? static_cast<double>(m.batched_queries) /
-                static_cast<double>(m.batches)
-          : 0.0;
   m.tier_exact = tier_exact_.load(std::memory_order_relaxed);
   m.tier_cached = tier_cached_.load(std::memory_order_relaxed);
   m.escalations = escalations_.load(std::memory_order_relaxed);

@@ -33,7 +33,9 @@ struct ServeRequest {
   /// Per-request result-count hint: nonzero overrides the effective
   /// options' k (whether they came from `options` or the snapshot
   /// defaults), so a caller can size the top list without reading a
-  /// snapshot of its own.
+  /// snapshot of its own. Whatever its source, k is clamped to the
+  /// snapshot's node count before the cache key is built, so every
+  /// oversized k shares one execution and one cache entry.
   size_t k = 0;
   /// End-to-end budget in seconds, measured from Submit() — queue time
   /// counts against it. 0 = the service default; a negative value
@@ -41,8 +43,7 @@ struct ServeRequest {
   double deadline_seconds = 0.0;
   /// Per-request tier hint: anything other than kAuto overrides the
   /// effective options' tier (whether they came from `options` or the
-  /// snapshot defaults). kAuto defers to the options and, when
-  /// Options::enable_tier_policy is set, to the adaptive policy.
+  /// snapshot defaults); kAuto defers to the options.
   core::SearchTier tier = core::SearchTier::kAuto;
 };
 
@@ -69,15 +70,10 @@ struct ServeResponse {
   /// Version of the snapshot the result was computed against.
   uint64_t snapshot_version = 0;
   /// Seconds the leader execution spent queued behind the pool (0 for
-  /// cache hits and coalesced waiters). For a batched execution this
-  /// includes the collection-window wait.
+  /// cache hits and coalesced waiters).
   double queue_seconds = 0.0;
   /// Submit() -> fulfillment, seconds.
   double total_seconds = 0.0;
-  /// Lanes in the block power iteration this result was computed in:
-  /// 0 = not executed via the batch scheduler (cache hit, coalesced
-  /// waiter, or batching off), >= 1 = ran as one of that many lanes.
-  size_t batch_lanes = 0;
 };
 
 /// A multi-threaded embedded query service over core::Searcher.
@@ -123,14 +119,8 @@ struct ServeResponse {
 /// request's search resolves as above, then the stage runs on a pool
 /// worker inside one admission slot and under the request's deadline.
 ///
-/// With Options::max_batch_size > 1 the service additionally runs a
-/// dynamic micro-batch scheduler: admitted cache-miss executions whose
-/// snapshot version, rates fingerprint, and numeric options agree collect
-/// in a bounded window (flushed when full or after max_batch_delay_ms)
-/// and run as one block power iteration — the graph is streamed once for
-/// all lanes, each lane keeps its own deadline, flight, and result-cache
-/// entry, and a lane whose deadline trips retires without aborting the
-/// batch. See docs/batching.md.
+/// Every execution runs alone: requests are never held back to share a
+/// block power iteration (docs/batching.md says why).
 class SearchService {
  public:
   struct Options {
@@ -157,28 +147,16 @@ class SearchService {
     /// Deadline applied to requests that don't carry their own;
     /// 0 = no default deadline.
     double default_deadline_seconds = 0.0;
-    /// Dynamic micro-batching (docs/batching.md): cache-miss executions
-    /// whose snapshot version, transfer-rates fingerprint, and numeric
-    /// option fingerprint all agree collect in a bounded window and run
-    /// as one block power iteration (core::ObjectRankEngine::ComputeBatch)
-    /// — the graph is streamed once for all lanes. <= 1 disables
-    /// batching (every execution runs alone, the pre-batching behavior).
+    /// Inert: the serve-time micro-batch scheduler is deleted, and the
+    /// constructor accepts only this default. Kept only because
+    /// orxbench assigns it; it goes with ROADMAP 3(a)'s [benchmark]
+    /// change, which drops that assignment.
     size_t max_batch_size = 1;
-    /// How long an open batch window waits for more lanes before it
-    /// flushes, milliseconds. A window also flushes the moment it reaches
-    /// max_batch_size, so lightly loaded services pay at most this much
-    /// added latency and saturated ones pay none.
-    double max_batch_delay_ms = 2.0;
-    /// Serve-time tier policy (docs/serving.md). When on, a request whose
-    /// tier is still kAuto after the per-request hint and whose deadline
-    /// is below tier_cached_deadline_seconds runs as kCached; every other
-    /// request keeps kAuto. kCached runs the same cache-or-exact path as
-    /// kAuto — the policy only relabels, so a cache miss still runs the
-    /// exact kernel and is reported as escalated. Load never changes the
-    /// tier.
+    /// Inert: the tier policy is deleted, and the constructor accepts
+    /// only this default. Kept only because orxbench assigns it; it goes
+    /// with ROADMAP 3(a)'s [benchmark] change, which drops that
+    /// assignment.
     bool enable_tier_policy = false;
-    /// Deadline below which the policy marks a kAuto request kCached.
-    double tier_cached_deadline_seconds = 0.02;
   };
 
   /// The result cache's budget for score vectors, in bytes. Each entry is
@@ -272,7 +250,7 @@ class SearchService {
   /// never shows a completion whose action counter is missing —
   /// `completed <= cache_hits + coalesced + executed` and
   /// `completed <= submitted` hold in every snapshot, even mid-burst.
-  /// Rates (qps, occupancy mean) are derived from this one cut.
+  /// Rates (qps) are derived from this one cut.
   ServeMetrics Snapshot() const;
 
   size_t num_threads() const { return pool_->num_threads(); }
@@ -336,37 +314,6 @@ class SearchService {
     std::shared_ptr<const core::SearchResult> result;
   };
 
-  /// One admitted cache-miss execution waiting in a batch window. Keeps
-  /// everything Execute() would have owned: its own flight key (so
-  /// single-flight waiters resolve per lane), promise, and deadline.
-  struct BatchLane {
-    std::string key;
-    text::QueryVector query;
-    std::function<bool()> caller_cancel;
-    CompletionPtr completion;
-    Clock::time_point submit_time;
-    Clock::time_point deadline;
-    bool has_deadline = false;
-  };
-
-  /// An open collection window: lanes with the same batch key gathering
-  /// until the window fills or its delay expires. Every field is guarded
-  /// by the *service* mu_ (not expressible as ORX_GUARDED_BY, which only
-  /// names capabilities reachable from the annotated object — the
-  /// runtime validator covers this edge instead); the leader task sleeps
-  /// on cv under mu_ until `closed`.
-  struct PendingBatch {
-    std::shared_ptr<const ServeSnapshot> snapshot;
-    uint64_t version = 0;
-    /// Shared numeric options (identical across lanes by construction of
-    /// the batch key); the cancel hook is per lane, not in here.
-    core::SearchOptions options;
-    Clock::time_point created;
-    std::vector<BatchLane> lanes;
-    bool closed = false;
-    CondVar cv;
-  };
-
   /// The version-independent part of the cache key: numeric options
   /// fingerprint + term-sorted (term, weight) pairs. The canonical key is
   /// "v<version>|" + suffix; the prefix is kept separable so the cache
@@ -382,13 +329,6 @@ class SearchService {
   bool LookupCacheLocked(const std::string& suffix, bool stage,
                          ServeResponse& hit) ORX_REQUIRES(mu_);
 
-  /// The batch-compatibility fingerprint: RequestKey minus the query
-  /// terms, plus the snapshot's transfer-rates fingerprint. Two
-  /// executions may share a block power iteration iff their batch keys
-  /// are equal.
-  static std::string BatchKey(const core::SearchOptions& options,
-                              uint64_t version, uint64_t rates_fingerprint);
-
   /// Shared body of Submit/SubmitAsync: admission, coalescing, cache
   /// lookup, and dispatch for one request whose delivery target is
   /// already packaged in `completion`.
@@ -400,27 +340,14 @@ class SearchService {
                CompletionPtr completion, Clock::time_point submit_time,
                Clock::time_point deadline, bool has_deadline);
 
-  /// Leader task of one batch window: waits (on cv, up to
-  /// max_batch_delay_ms) for the window to fill or expire, removes it
-  /// from open_batches_, and runs the collected lanes.
-  void ExecuteBatch(std::shared_ptr<PendingBatch> batch,
-                    std::string batch_key);
-
-  /// Runs the lanes of a flushed window through one
-  /// core::Searcher::SearchBatch call and completes each lane.
-  void RunBatch(const std::shared_ptr<PendingBatch>& batch,
-                std::vector<BatchLane> lanes);
-
   /// Completes one admitted execution: error counters, slot release
   /// (a stage leader keeps its slot for its stage), single-flight waiter
-  /// resolution, result caching, and fulfillment. Shared tail of
-  /// Execute() and RunBatch().
+  /// resolution, result caching, and fulfillment.
   void FinishExecution(const std::string& key,
                        const std::shared_ptr<const ServeSnapshot>& snapshot,
                        uint64_t version, StatusOr<core::SearchResult> result,
                        const CompletionPtr& completion,
-                       Clock::time_point submit_time, double queue_seconds,
-                       size_t batch_lanes);
+                       Clock::time_point submit_time, double queue_seconds);
 
   /// Delivers a response and records the completion metrics.
   void Fulfill(const CompletionPtr& completion, ResponseOr response,
@@ -458,11 +385,6 @@ class SearchService {
   size_t pending_ ORX_GUARDED_BY(mu_) = 0;
   std::unordered_map<std::string, std::shared_ptr<Flight>> flights_
       ORX_GUARDED_BY(mu_);
-  /// Open batch windows by batch key. An entry is always joinable: it is
-  /// erased the moment it closes (fills, expires, or service shutdown),
-  /// so a late arrival opens a fresh window instead of racing a flush.
-  std::unordered_map<std::string, std::shared_ptr<PendingBatch>>
-      open_batches_ ORX_GUARDED_BY(mu_);
   std::list<CachedResult> lru_ ORX_GUARDED_BY(mu_);  // front = most recent
   std::unordered_map<std::string, std::list<CachedResult>::iterator> cached_
       ORX_GUARDED_BY(mu_);
@@ -477,9 +399,6 @@ class SearchService {
   std::atomic<uint64_t> deadline_exceeded_{0};
   std::atomic<uint64_t> failed_{0};
   std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> batched_queries_{0};
-  std::atomic<uint64_t> batch_occupancy_max_{0};
   std::atomic<uint64_t> tier_exact_{0};
   std::atomic<uint64_t> tier_cached_{0};
   std::atomic<uint64_t> escalations_{0};

@@ -14,10 +14,6 @@ std::string ServeMetrics::ToString() const {
          " rejected=" + std::to_string(rejected) +
          " deadline_exceeded=" + std::to_string(deadline_exceeded) +
          " failed=" + std::to_string(failed) +
-         " batches=" + std::to_string(batches) +
-         " batched=" + std::to_string(batched_queries) +
-         " batch_occ=" + FormatDouble(batch_occupancy_mean, 2) + "/max=" +
-         std::to_string(batch_occupancy_max) +
          " tiers=" + std::to_string(tier_exact) + "e/" +
          std::to_string(tier_cached) + "c esc=" +
          std::to_string(escalations) + " miss=" +

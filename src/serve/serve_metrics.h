@@ -40,19 +40,6 @@ struct ServeMetrics {
   /// executions; excludes admission rejections).
   uint64_t completed = 0;
 
-  /// Block executions run by the batch scheduler: one per flushed
-  /// collection window that had at least one live lane (a window whose
-  /// only lane expired while queued does not count). Single-lane flushes
-  /// count — occupancy, not batch count, measures how well batching works.
-  uint64_t batches = 0;
-  /// Cache-miss executions that ran as a lane of a batch window.
-  uint64_t batched_queries = 0;
-  /// Largest lane count any single batch executed with.
-  uint64_t batch_occupancy_max = 0;
-  /// batched_queries / batches — mean lanes per block execution (0 when
-  /// batching is off or nothing has been batched).
-  double batch_occupancy_mean = 0.0;
-
   /// Executions answered per tier (core::SearchTier of the *result*, so
   /// a kCached request that fell back counts under tier_exact).
   /// Only successful executions count; serve-level result-cache hits are

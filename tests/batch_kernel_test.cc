@@ -2,10 +2,12 @@
 // docs/batching.md): every lane of ObjectRankEngine::ComputeBatch must be
 // BIT-IDENTICAL — not merely close — to the single-query Compute it
 // replaces, for any batch size, thread count, warm start, convergence
-// pattern, and per-lane cancellation. Searcher::SearchBatch inherits the
-// same contract at the search level. The perf_smoke case keeps the block
-// pass honest: a silent fallback to per-lane solves would fail the
-// amortization floor long before a real benchmark runs.
+// pattern, and per-lane cancellation. RankCache's builds solve their
+// terms through it, so this contract keeps a block-built cache equal to
+// per-term solves (tests/rank_cache_test.cc checks that end to end). The
+// perf_smoke case keeps the block pass honest: a silent fallback to
+// per-lane solves would fail the amortization floor long before a real
+// benchmark runs.
 
 #include <gtest/gtest.h>
 
@@ -18,10 +20,8 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/objectrank.h"
-#include "core/searcher.h"
 #include "datasets/dblp_generator.h"
 #include "datasets/dblp_schema.h"
-#include "text/query.h"
 
 namespace orx::core {
 namespace {
@@ -282,108 +282,6 @@ TEST(BatchKernelEquivalence, EmptyBatchReturnsEmpty) {
   BatchCase c = MakeBatchCase(/*seed=*/37, /*papers=*/200, /*lanes=*/1);
   ObjectRankEngine engine(c.dblp.dataset.authority());
   EXPECT_TRUE(engine.ComputeBatch({}, c.rates).empty());
-}
-
-// --- Searcher::SearchBatch -------------------------------------------------
-
-std::vector<std::string> FrequentTerms(const text::Corpus& corpus,
-                                       size_t count) {
-  std::vector<std::pair<uint32_t, std::string>> by_df;
-  for (text::TermId t = 0; t < corpus.vocab_size(); ++t) {
-    by_df.emplace_back(corpus.Df(t), corpus.TermString(t));
-  }
-  std::sort(by_df.begin(), by_df.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  });
-  std::vector<std::string> terms;
-  for (size_t i = 0; i < by_df.size() && terms.size() < count; ++i) {
-    terms.push_back(by_df[i].second);
-  }
-  return terms;
-}
-
-TEST(SearchBatchTest, LanesMatchFreshSingleSearches) {
-  BatchCase c = MakeBatchCase(/*seed=*/40, /*papers=*/400, /*lanes=*/1);
-  const auto& ds = c.dblp.dataset;
-  const std::vector<std::string> terms = FrequentTerms(ds.corpus(), 4);
-  ASSERT_GE(terms.size(), 4u);
-
-  SearchOptions options;
-  options.use_warm_start = false;  // every lane and single starts cold
-  options.objectrank.num_threads = 2;
-
-  std::vector<BatchSearchRequest> requests;
-  for (const std::string& t : terms) {
-    BatchSearchRequest r;
-    r.query = text::QueryVector(text::ParseQuery(t));
-    requests.push_back(std::move(r));
-  }
-  Searcher batch_searcher(ds.data(), ds.authority(), ds.corpus());
-  const auto batch = batch_searcher.SearchBatch(requests, c.rates, options);
-  ASSERT_EQ(batch.size(), terms.size());
-  // The block solve must not leak into session warm-start state.
-  EXPECT_EQ(batch_searcher.previous_scores(), nullptr);
-
-  for (size_t i = 0; i < terms.size(); ++i) {
-    Searcher single_searcher(ds.data(), ds.authority(), ds.corpus());
-    const auto single = single_searcher.Search(
-        text::QueryVector(text::ParseQuery(terms[i])), c.rates, options);
-    ASSERT_TRUE(batch[i].ok()) << batch[i].status().message();
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ(batch[i]->iterations, single->iterations);
-    EXPECT_EQ(batch[i]->base_set_size, single->base_set_size);
-    ExpectBitIdentical(batch[i]->scores, single->scores,
-                       "search lane '" + terms[i] + "'");
-    ASSERT_EQ(batch[i]->top.size(), single->top.size());
-    for (size_t k = 0; k < single->top.size(); ++k) {
-      EXPECT_EQ(batch[i]->top[k].node, single->top[k].node);
-    }
-  }
-}
-
-TEST(SearchBatchTest, ErrorLanesDoNotPoisonTheBatch) {
-  BatchCase c = MakeBatchCase(/*seed=*/41, /*papers=*/400, /*lanes=*/1);
-  const auto& ds = c.dblp.dataset;
-  const std::string term = FrequentTerms(ds.corpus(), 1).at(0);
-
-  SearchOptions options;
-  options.use_warm_start = false;
-  std::vector<BatchSearchRequest> requests(3);
-  requests[0].query = text::QueryVector();  // empty -> kInvalidArgument
-  requests[1].query = text::QueryVector(text::ParseQuery(term));
-  requests[2].query =
-      text::QueryVector(text::ParseQuery("zzqqxxunindexed"));
-
-  Searcher searcher(ds.data(), ds.authority(), ds.corpus());
-  const auto batch = searcher.SearchBatch(requests, c.rates, options);
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch[0].status().code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(batch[1].ok());
-  EXPECT_FALSE(batch[1]->top.empty());
-  EXPECT_EQ(batch[2].status().code(), StatusCode::kNotFound);
-}
-
-TEST(SearchBatchTest, CancelledLaneReportsDeadlineExceeded) {
-  BatchCase c = MakeBatchCase(/*seed=*/42, /*papers=*/400, /*lanes=*/1);
-  const auto& ds = c.dblp.dataset;
-  const std::vector<std::string> terms = FrequentTerms(ds.corpus(), 2);
-  ASSERT_GE(terms.size(), 2u);
-
-  SearchOptions options;
-  options.use_warm_start = false;
-  options.objectrank.epsilon = 1e-12;  // keep lanes iterating a while
-  std::vector<BatchSearchRequest> requests(2);
-  requests[0].query = text::QueryVector(text::ParseQuery(terms[0]));
-  requests[1].query = text::QueryVector(text::ParseQuery(terms[1]));
-  int calls = 0;
-  requests[0].cancel = [&calls] { return ++calls > 2; };
-
-  Searcher searcher(ds.data(), ds.authority(), ds.corpus());
-  const auto batch = searcher.SearchBatch(requests, c.rates, options);
-  EXPECT_EQ(batch[0].status().code(), StatusCode::kDeadlineExceeded);
-  ASSERT_TRUE(batch[1].ok());
-  EXPECT_TRUE(batch[1]->converged);
 }
 
 // perf_smoke: with 8 warm (dense-from-start) lanes the block pass reads

@@ -400,6 +400,33 @@ TEST(FrameCodecTest, SearchResponseTierBlockRoundTrips) {
   EXPECT_EQ(EncodeMetricsResponse(*older_decoded), metrics_payload);
 }
 
+// The deleted micro-batch scheduler's four metrics (batches, batched
+// queries, max and mean occupancy) keep their slots after the eight
+// request counters: written as zero, and ignored on decode whatever an
+// older server filled them with.
+TEST(FrameCodecTest, MetricsReservedBatchSlotsAreZeroAndIgnored) {
+  MetricsResponse metrics;
+  metrics.serve.submitted = 9;
+  metrics.serve.completed = 8;
+  metrics.serve.uptime_seconds = 2.5;
+  metrics.serve.qps = 3.2;
+  const std::string payload = EncodeMetricsResponse(metrics);
+  const size_t first_slot = 8 * 8;
+  std::string older = payload;
+  for (size_t slot = 0; slot < 4; ++slot) {
+    const size_t offset = first_slot + slot * 8;
+    EXPECT_EQ(payload.substr(offset, 8), std::string(8, '\0'))
+        << "slot " << slot;
+    older[offset] = 0x2A;
+  }
+  auto decoded = DecodeMetricsResponse(older);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->serve.completed, 8u);
+  EXPECT_EQ(decoded->serve.uptime_seconds, 2.5);
+  EXPECT_EQ(decoded->serve.qps, 3.2);
+  EXPECT_EQ(EncodeMetricsResponse(*decoded), payload);
+}
+
 TEST(FrameCodecTest, DecodersRejectTrailingGarbage) {
   const std::string payload =
       EncodeSearchRequest(SearchRequest{"data", 10, 0.0});
@@ -773,6 +800,28 @@ TEST(NetFullStackTest, AdmissionOverflowArrivesAsUnavailableErrorFrame) {
   ASSERT_TRUE(client.Ping().ok());
   stack.server->Shutdown();
   EXPECT_EQ(stack.server->stats().error_frames_sent, 5u);
+  EXPECT_EQ(stack.server->stats().unanswered_frames, 0u);
+}
+
+// Regression: one kSearch frame with k = 0xFFFFFFFF made the top-k heap
+// reserve 64 GiB on a pool worker, and the bad_alloc aborted the server.
+// The k is now clamped to the node count: the whole ranked list comes
+// back, and the connection keeps answering.
+TEST(NetFullStackTest, HugeKReturnsTheFullRankedList) {
+  FullStack stack;
+  ASSERT_TRUE(stack.server->Start().ok());
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()).ok());
+
+  const std::string query = HeadTerm(*stack.snapshot->corpus);
+  auto search = client.Search({query, 0xFFFFFFFFu, 0.0});
+  ASSERT_TRUE(search.ok()) << search.status();
+  EXPECT_EQ(search->results.size(), stack.snapshot->data->num_nodes());
+  for (size_t i = 1; i < search->results.size(); ++i) {
+    EXPECT_GE(search->results[i - 1].score, search->results[i].score);
+  }
+  EXPECT_TRUE(client.Ping().ok());
+  stack.server->Shutdown();
   EXPECT_EQ(stack.server->stats().unanswered_frames, 0u);
 }
 

@@ -810,10 +810,37 @@ TEST(SearchServiceTest, OversizedThreadRequestsShareOneCacheKey) {
   EXPECT_EQ(service.Snapshot().executed, 1u);
 }
 
-// --- Tier policy (docs/serving.md) ------------------------------------------
+// Regression: k = 2^32 - 1 off the wire once made the top-k heap reserve
+// 64 GiB and abort the server. Both k values exceed the node count, so
+// after clamping they ask for the same full ranked list: one execution,
+// then a cache hit.
+TEST(SearchServiceTest, OversizedKRequestsShareOneCacheKey) {
+  auto snap = MakeDblpSnapshot(200, 17);
+  const std::string term = TopTerms(*snap->corpus, 1).front();
+  SearchService::Options service_options;
+  service_options.num_threads = 2;
+  SearchService service(snap, service_options);
 
-// Regression: the policy used to send kAuto requests to the approximate
-// push tier once pending/max_pending reached 0.75, moving work onto a
+  ServeRequest first = MakeRequest(term);
+  first.k = 0xFFFFFFFFu;
+  auto full = service.Search(std::move(first));
+  ASSERT_TRUE(full.ok()) << full.status();
+  EXPECT_FALSE(full->cache_hit);
+  EXPECT_EQ(full->result->top.size(), snap->data->num_nodes());
+
+  ServeRequest second = MakeRequest(term);
+  second.k = 0xFFFFFFFEu;
+  auto response = service.Search(std::move(second));
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_TRUE(response->cache_hit);
+  EXPECT_EQ(response->result, full->result);
+  EXPECT_EQ(service.Snapshot().executed, 1u);
+}
+
+// --- Tiers under load --------------------------------------------------------
+
+// Regression: a tier policy once sent kAuto requests to the approximate
+// push tier when pending/max_pending reached 0.75, moving work onto a
 // path measured ~10x slower than exact exactly when the service was
 // loaded. Load must never change the tier: a kAuto request submitted at
 // 3/4 admission load runs the exact path, unescalated.
@@ -824,7 +851,6 @@ TEST(SearchServiceTierPolicyTest, LoadNeverMovesAutoOffTheExactPath) {
   SearchService::Options options;
   options.num_threads = 1;
   options.max_pending = 4;
-  options.enable_tier_policy = true;
   SearchService service(snap, options);
 
   auto gate = std::make_shared<Gate>();
@@ -848,242 +874,6 @@ TEST(SearchServiceTierPolicyTest, LoadNeverMovesAutoOffTheExactPath) {
   const ServeMetrics m = service.Snapshot();
   EXPECT_EQ(m.tier_exact, 4u);
   EXPECT_EQ(m.escalations, 0u);
-}
-
-// The policy's one branch: a kAuto request whose deadline is below
-// tier_cached_deadline_seconds runs as kCached. kCached takes the same
-// cache-or-exact path as kAuto, so on a snapshot without a rank cache it
-// falls back to the exact kernel and is only reported differently: as
-// an escalation, with kNoCache as the miss reason.
-TEST(SearchServiceTierPolicyTest, ShortDeadlineRelabelsAutoAsCached) {
-  auto snap = MakeDblpSnapshot(200, 22);
-  ASSERT_TRUE(snap->rank_cache == nullptr);
-  const std::string term = TopTerms(*snap->corpus, 1).at(0);
-  SearchService::Options options;
-  options.num_threads = 1;
-  options.enable_tier_policy = true;
-  // Threshold and deadline are generous so the exact fallback cannot
-  // trip the deadline on a slow or instrumented build.
-  options.tier_cached_deadline_seconds = 60.0;
-  SearchService service(snap, options);
-
-  ServeRequest request = MakeRequest(term);
-  request.deadline_seconds = 30.0;
-  auto response = service.Search(std::move(request));
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->result->tier_used, core::SearchTier::kExact);
-  EXPECT_TRUE(response->result->escalated);
-  EXPECT_EQ(response->result->cache_miss_reason,
-            core::CacheMissReason::kNoCache);
-  EXPECT_EQ(response->result->scores, DirectSearch(*snap, term).scores);
-  ServeMetrics m = service.Snapshot();
-  EXPECT_EQ(m.escalations, 1u);
-  EXPECT_EQ(m.miss_no_cache, 1u);
-  EXPECT_EQ(m.tier_exact, 1u);
-
-  // Without a deadline the request keeps kAuto: a separate cache key,
-  // the same scores, and no escalation.
-  ServeRequest relaxed = MakeRequest(term);
-  relaxed.deadline_seconds = -1.0;
-  auto unlabelled = service.Search(std::move(relaxed));
-  ASSERT_TRUE(unlabelled.ok()) << unlabelled.status();
-  EXPECT_FALSE(unlabelled->cache_hit);
-  EXPECT_FALSE(unlabelled->result->escalated);
-  EXPECT_EQ(unlabelled->result->scores, response->result->scores);
-  m = service.Snapshot();
-  EXPECT_EQ(m.escalations, 1u);
-  EXPECT_EQ(m.tier_exact, 2u);
-}
-
-// --- Dynamic micro-batching (docs/batching.md) -----------------------------
-
-SearchService::Options BatchingOptions(size_t max_batch_size,
-                                       double max_batch_delay_ms) {
-  SearchService::Options options;
-  options.num_threads = 2;
-  options.max_batch_size = max_batch_size;
-  options.max_batch_delay_ms = max_batch_delay_ms;
-  return options;
-}
-
-TEST(SearchServiceBatchingTest, WindowFlushesWhenMaxBatchSizeReached) {
-  auto snap = MakeDblpSnapshot(200, 14);
-  const std::vector<std::string> terms = TopTerms(*snap->corpus, 2);
-  ASSERT_GE(terms.size(), 2u);
-  // The delay is effectively infinite: only the size trigger can flush,
-  // so a prompt completion proves the full-window path works.
-  SearchService service(snap, BatchingOptions(2, /*delay_ms=*/60000));
-
-  auto f1 = service.Submit(MakeRequest(terms[0]));
-  auto f2 = service.Submit(MakeRequest(terms[1]));
-  auto r1 = f1.get();
-  auto r2 = f2.get();
-  ASSERT_TRUE(r1.ok()) << r1.status();
-  ASSERT_TRUE(r2.ok()) << r2.status();
-  EXPECT_EQ(r1->batch_lanes, 2u);
-  EXPECT_EQ(r2->batch_lanes, 2u);
-  // Batched lanes return exactly what an unbatched search computes.
-  EXPECT_EQ(r1->result->scores, DirectSearch(*snap, terms[0]).scores);
-  EXPECT_EQ(r2->result->scores, DirectSearch(*snap, terms[1]).scores);
-
-  const ServeMetrics m = service.Snapshot();
-  EXPECT_EQ(m.batches, 1u);
-  EXPECT_EQ(m.batched_queries, 2u);
-  EXPECT_EQ(m.batch_occupancy_max, 2u);
-  EXPECT_EQ(m.executed, 2u);
-}
-
-TEST(SearchServiceBatchingTest, WindowFlushesWhenDelayExpires) {
-  auto snap = MakeDblpSnapshot(200, 14);
-  const std::string term = TopTerms(*snap->corpus, 1).at(0);
-  // Room for 8 lanes but only one request arrives: the window must
-  // flush on the timer and run a single-lane batch.
-  SearchService service(snap, BatchingOptions(8, /*delay_ms=*/50));
-
-  auto response = service.Search(MakeRequest(term));
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->batch_lanes, 1u);
-  EXPECT_EQ(response->result->scores, DirectSearch(*snap, term).scores);
-  // The wait for the window shows up as queue time, not compute time.
-  EXPECT_GE(response->queue_seconds, 0.04);
-
-  const ServeMetrics m = service.Snapshot();
-  EXPECT_EQ(m.batches, 1u);
-  EXPECT_EQ(m.batched_queries, 1u);
-}
-
-TEST(SearchServiceBatchingTest, QueuedDeadlineExpiryDoesNotAbortTheBatch) {
-  auto snap = MakeDblpSnapshot(200, 15);
-  const std::vector<std::string> terms = TopTerms(*snap->corpus, 2);
-  ASSERT_GE(terms.size(), 2u);
-  SearchService service(snap, BatchingOptions(2, /*delay_ms=*/60000));
-
-  // Lane A's deadline is already over when the window flushes; lane B
-  // must still execute and return a correct result.
-  ServeRequest expired = MakeRequest(terms[0]);
-  expired.deadline_seconds = 1e-7;
-  auto fa = service.Submit(std::move(expired));
-  auto fb = service.Submit(MakeRequest(terms[1]));
-
-  auto ra = fa.get();
-  auto rb = fb.get();
-  EXPECT_EQ(ra.status().code(), StatusCode::kDeadlineExceeded);
-  ASSERT_TRUE(rb.ok()) << rb.status();
-  EXPECT_EQ(rb->batch_lanes, 1u);  // the expired lane never joined the solve
-  EXPECT_EQ(rb->result->scores, DirectSearch(*snap, terms[1]).scores);
-
-  const ServeMetrics m = service.Snapshot();
-  EXPECT_EQ(m.deadline_exceeded, 1u);
-  EXPECT_EQ(m.batches, 1u);
-  EXPECT_EQ(m.batched_queries, 1u);
-}
-
-TEST(SearchServiceBatchingTest, MidIterationCancelRetiresOnlyItsLane) {
-  auto snap = MakeDblpSnapshot(200, 15);
-  const std::vector<std::string> terms = TopTerms(*snap->corpus, 2);
-  ASSERT_GE(terms.size(), 2u);
-  SearchService service(snap, BatchingOptions(2, /*delay_ms=*/60000));
-
-  // The cancel hook is per-lane and not part of the batch key, so both
-  // requests land in one window; lane A trips mid-iteration and retires
-  // while lane B's solve continues.
-  auto calls = std::make_shared<std::atomic<int>>(0);
-  ServeRequest cancelled = MakeRequest(terms[0]);
-  cancelled.options = snap->default_options;
-  cancelled.options->objectrank.cancel = [calls] {
-    return calls->fetch_add(1) >= 2;
-  };
-  auto fa = service.Submit(std::move(cancelled));
-  auto fb = service.Submit(MakeRequest(terms[1]));
-
-  auto ra = fa.get();
-  auto rb = fb.get();
-  EXPECT_EQ(ra.status().code(), StatusCode::kDeadlineExceeded);
-  ASSERT_TRUE(rb.ok()) << rb.status();
-  EXPECT_EQ(rb->batch_lanes, 2u);  // both lanes entered the solve
-  EXPECT_EQ(rb->result->scores, DirectSearch(*snap, terms[1]).scores);
-
-  const ServeMetrics m = service.Snapshot();
-  EXPECT_EQ(m.deadline_exceeded, 1u);
-  EXPECT_EQ(m.batches, 1u);
-  EXPECT_EQ(m.batched_queries, 2u);
-}
-
-TEST(SearchServiceBatchingTest, NoCrossBatchingAcrossSnapshotVersions) {
-  // Two snapshots over the identical dataset, so the same term is valid
-  // against both and only the version separates the batch keys.
-  auto snap1 = MakeDblpSnapshot(200, 16);
-  auto snap2 = MakeDblpSnapshot(200, 16);
-  const std::string term = TopTerms(*snap1->corpus, 1).at(0);
-  SearchService::Options options = BatchingOptions(2, /*delay_ms=*/150);
-  // Cache retention would let the pre-swap result answer the post-swap
-  // submit on a slow machine; this test is about batch-window separation.
-  options.result_cache_versions = 1;
-  SearchService service(snap1, options);
-
-  auto f1 = service.Submit(MakeRequest(term));
-  service.SwapSnapshot(snap2);
-  auto f2 = service.Submit(MakeRequest(term));
-
-  auto r1 = f1.get();
-  auto r2 = f2.get();
-  ASSERT_TRUE(r1.ok()) << r1.status();
-  ASSERT_TRUE(r2.ok()) << r2.status();
-  EXPECT_EQ(r1->snapshot_version, 1u);
-  EXPECT_EQ(r2->snapshot_version, 2u);
-  EXPECT_EQ(r1->batch_lanes, 1u);
-  EXPECT_EQ(r2->batch_lanes, 1u);
-  EXPECT_EQ(r1->result->scores, DirectSearch(*snap1, term).scores);
-  EXPECT_EQ(r2->result->scores, DirectSearch(*snap2, term).scores);
-
-  // Each version got its own window: no lane may run against the wrong
-  // snapshot even though both windows were open simultaneously.
-  const ServeMetrics m = service.Snapshot();
-  EXPECT_EQ(m.batches, 2u);
-  EXPECT_EQ(m.batch_occupancy_max, 1u);
-}
-
-TEST(SearchServiceBatchingTest, NoCrossBatchingAcrossOptionFingerprints) {
-  auto snap = MakeDblpSnapshot(200, 16);
-  const std::vector<std::string> terms = TopTerms(*snap->corpus, 2);
-  ASSERT_GE(terms.size(), 2u);
-  SearchService service(snap, BatchingOptions(2, /*delay_ms=*/150));
-
-  // Different epsilons are different numeric fingerprints; a shared
-  // block solve would silently run one of them with the wrong options.
-  ServeRequest tight = MakeRequest(terms[0]);
-  tight.options = snap->default_options;
-  tight.options->objectrank.epsilon =
-      snap->default_options.objectrank.epsilon * 0.5;
-  auto f1 = service.Submit(std::move(tight));
-  auto f2 = service.Submit(MakeRequest(terms[1]));
-
-  auto r1 = f1.get();
-  auto r2 = f2.get();
-  ASSERT_TRUE(r1.ok()) << r1.status();
-  ASSERT_TRUE(r2.ok()) << r2.status();
-  EXPECT_EQ(r1->batch_lanes, 1u);
-  EXPECT_EQ(r2->batch_lanes, 1u);
-
-  const ServeMetrics m = service.Snapshot();
-  EXPECT_EQ(m.batches, 2u);
-  EXPECT_EQ(m.batched_queries, 2u);
-  EXPECT_EQ(m.batch_occupancy_max, 1u);
-}
-
-TEST(SearchServiceBatchingTest, DestructorFlushesOpenWindows) {
-  auto snap = MakeDblpSnapshot(200, 17);
-  const std::string term = TopTerms(*snap->corpus, 1).at(0);
-  std::future<StatusOr<ServeResponse>> future;
-  {
-    // The window would otherwise stay open for a minute; the destructor
-    // must close it and still fulfill the future.
-    SearchService service(snap, BatchingOptions(8, /*delay_ms=*/60000));
-    future = service.Submit(MakeRequest(term));
-  }
-  auto response = future.get();
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->result->scores, DirectSearch(*snap, term).scores);
 }
 
 TEST(SearchServiceTest, DestructorDrainsInFlightRequests) {

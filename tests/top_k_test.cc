@@ -16,9 +16,13 @@ TEST(TopKTest, ReturnsDescendingScores) {
 
 TEST(TopKTest, KLargerThanInput) {
   std::vector<double> scores{0.2, 0.1};
-  auto top = TopK(scores, 10);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].node, 0u);
+  // 0xFFFFFFFF is the largest k the wire carries; it must cost what the
+  // input costs, not a k-sized allocation.
+  for (const size_t k : {size_t{10}, size_t{0xFFFFFFFF}}) {
+    auto top = TopK(scores, k);
+    ASSERT_EQ(top.size(), 2u) << k;
+    EXPECT_EQ(top[0].node, 0u) << k;
+  }
 }
 
 TEST(TopKTest, KZeroAndEmptyInput) {

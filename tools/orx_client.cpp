@@ -525,6 +525,14 @@ int RunE2e(const ClientFlags& flags) {
     E2E_CHECK(!empty.ok() &&
                   empty.status().code() == StatusCode::kInvalidArgument,
               "empty query -> kInvalidArgument error frame");
+
+    // The largest k the wire carries is clamped to the node count: the
+    // whole ranked list comes back, and the connection still answers.
+    auto huge = client.Search({queries.front(), 0xFFFFFFFFu, 0.0});
+    E2E_CHECK(huge.ok() && !huge->results.empty() &&
+                  huge->results.size() <= snap.data->num_nodes() &&
+                  client.Ping().ok(),
+              "search k=0xFFFFFFFF -> at most n results, connection alive");
   }
 
   // Tier hints: an exact-tier request reports tier 1 with a zero bound;

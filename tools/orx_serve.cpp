@@ -41,17 +41,11 @@ struct ServeFlags {
   size_t threads = 0;        // SearchService pool; 0 = hardware threads
   size_t max_pending = 64;   // admission bound
   size_t cache_entries = 512;
-  size_t batch = 1;          // micro-batch size; <= 1 = off
   double idle_timeout = 300.0;
   double drain_timeout = 5.0;
   bool mutate = false;         // enable the write path (kMutate op)
   size_t log_capacity = 1024;  // delta-log bound before kUnavailable
   size_t max_live_epochs = 8;  // publish backpressure bound
-  // Tier policy (serve/search_service.h Options): when enabled, an
-  // auto-tier request with a deadline below tier_cached_deadline runs as
-  // kCached.
-  bool tier_policy = false;
-  double tier_cached_deadline = 0.02;
 };
 
 int Usage(const char* argv0) {
@@ -60,9 +54,8 @@ int Usage(const char* argv0) {
       "usage: %s [--host H] [--port P] [--scale S] [--workers N]\n"
       "          [--dataset PATH.orxd2] [--rank-cache PATH.orxc2]\n"
       "          [--threads N] [--max-pending N] [--cache-entries N]\n"
-      "          [--batch N] [--idle-timeout SEC] [--drain-timeout SEC]\n"
+      "          [--idle-timeout SEC] [--drain-timeout SEC]\n"
       "          [--mutate] [--log-capacity N] [--max-live-epochs N]\n"
-      "          [--tier-policy] [--tier-cached-deadline SEC]\n"
       "Serves the ORXN protocol (search/explain/reformulate/validate/\n"
       "metrics/ping) over a generated DBLP dataset, or — with --dataset —\n"
       "over an ORXD2 container attached zero-copy via mmap (optionally\n"
@@ -71,10 +64,7 @@ int Usage(const char* argv0) {
       "--mutate enables the write path: kMutate frames append to a delta\n"
       "log consumed by a background snapshot builder (without it the\n"
       "server is read-only); it requires a generated dataset, not\n"
-      "--dataset. --tier-policy marks tier-auto searches whose deadline\n"
-      "is below --tier-cached-deadline as tier cached (the same\n"
-      "cache-or-exact path, reported as escalated on a cache miss; see\n"
-      "docs/serving.md). Runs until SIGTERM/SIGINT, then drains.\n",
+      "--dataset. Runs until SIGTERM/SIGINT, then drains.\n",
       argv0);
   return 2;
 }
@@ -104,18 +94,12 @@ bool ParseFlags(int argc, char** argv, ServeFlags* flags) {
       flags->max_pending = static_cast<size_t>(std::atoi(v));
     } else if (arg == "--cache-entries" && (v = value())) {
       flags->cache_entries = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--batch" && (v = value())) {
-      flags->batch = static_cast<size_t>(std::atoi(v));
     } else if (arg == "--idle-timeout" && (v = value())) {
       flags->idle_timeout = std::atof(v);
     } else if (arg == "--drain-timeout" && (v = value())) {
       flags->drain_timeout = std::atof(v);
     } else if (arg == "--mutate") {
       flags->mutate = true;
-    } else if (arg == "--tier-policy") {
-      flags->tier_policy = true;
-    } else if (arg == "--tier-cached-deadline" && (v = value())) {
-      flags->tier_cached_deadline = std::atof(v);
     } else if (arg == "--log-capacity" && (v = value())) {
       flags->log_capacity = static_cast<size_t>(std::atoi(v));
     } else if (arg == "--max-live-epochs" && (v = value())) {
@@ -185,9 +169,6 @@ int main(int argc, char** argv) {
   service_options.num_threads = flags.threads;
   service_options.max_pending = flags.max_pending;
   service_options.result_cache_entries = flags.cache_entries;
-  service_options.max_batch_size = flags.batch;
-  service_options.enable_tier_policy = flags.tier_policy;
-  service_options.tier_cached_deadline_seconds = flags.tier_cached_deadline;
   serve::SearchService service(dataset.snapshot, service_options);
   std::printf(
       "orx_serve: service threads=%zu max_pending=%zu cache_entries=%zu "
@@ -196,10 +177,6 @@ int main(int argc, char** argv) {
       service_options.result_cache_entries,
       service_options.result_cache_versions,
       serve::SearchService::kScoreCacheBytes >> 20);
-  if (flags.tier_policy) {
-    std::printf("orx_serve: tier policy on (cached<%.3fs)\n",
-                flags.tier_cached_deadline);
-  }
   net::ServeHandler handler(&service);
 
   // Write path: the delta log feeds a background snapshot builder that
