@@ -107,11 +107,11 @@ int main(int argc, char** argv) {
     WriteSeed(root / "net_frame" / "search_request.bin",
               EncodeFrame(Op::kSearch, 2,
                           EncodeSearchRequest({"data cube olap", 10, 0.5})));
-    // Tier-bearing request: the trailing tier byte set to a non-default
-    // value so mutations explore the tier validation path (the reserved
-    // 2 and values > 3 must decode as kDataLoss, not reach the handler).
+    // Exact-tier request: the tier byte set to its other legal value so
+    // mutations explore the tier validation path (2, cached, and every
+    // value above must decode as kDataLoss, not reach the handler).
     SearchRequest tiered{"data cube olap", 10, 0.5};
-    tiered.tier = 3;  // cached
+    tiered.tier = 1;  // exact
     WriteSeed(root / "net_frame" / "search_request_tier.bin",
               EncodeFrame(Op::kSearch, 9, EncodeSearchRequest(tiered)));
     SearchResponse search;
@@ -119,9 +119,8 @@ int main(int argc, char** argv) {
     search.results.push_back({7, 0.0625, "author", "Gray"});
     search.iterations = 12;
     search.snapshot_version = 1;
-    search.tier_used = 3;  // a compressed cache hit, with a live error bound
+    search.tier_used = 2;  // a compressed cache hit, with a live error bound
     search.error_bound = 1.5e-6;
-    search.escalated = false;
     WriteSeed(root / "net_frame" / "search_response.bin",
               EncodeFrame(Op::kSearch, 2, EncodeSearchResponse(search)));
     WriteSeed(root / "net_frame" / "explain_request.bin",
@@ -143,8 +142,8 @@ int main(int argc, char** argv) {
     metrics.serve.submitted = 100;
     metrics.serve.completed = 99;
     metrics.serve.tier_exact = 60;
-    metrics.serve.tier_cached = 39;  // the group's reserved slots stay 0
-    metrics.serve.escalations = 4;
+    metrics.serve.tier_cached = 39;
+    metrics.serve.miss_error_budget = 4;
     metrics.serve.tier_cached_p50 = 0.002;
     metrics.frames_received = 123;
     WriteSeed(root / "net_frame" / "metrics_response.bin",

@@ -2,11 +2,12 @@
 // every network peer crosses. The input is treated as one frame: header
 // bytes first, remainder as payload. Properties trapped on:
 //  * DecodeHeader never accepts a payload_size above kMaxPayload;
-//  * every payload decoder either round-trips or fails kDataLoss —
-//    no crash, no sanitizer report, no oversized allocation (hostile
-//    counts are bounded before any reserve);
-//  * a decoded value re-encodes and re-decodes to an equal value
-//    (decode/encode/decode fixpoint, same as the dataset deserializer).
+//  * every payload decoder either accepts or fails kDataLoss — no crash,
+//    no sanitizer report, no oversized allocation (hostile counts and
+//    lengths are bounded before any reserve);
+//  * the encoding is canonical: every accepted payload re-encodes to the
+//    identical bytes (one layout per version, no reserved or skipped
+//    field, bools only 0 or 1).
 
 #include <cstddef>
 #include <cstdint>
@@ -17,27 +18,16 @@
 
 namespace {
 
-using orx::net::DecodeErrorResponse;
-using orx::net::DecodeExplainRequest;
-using orx::net::DecodeExplainResponse;
-using orx::net::DecodeMetricsResponse;
-using orx::net::DecodeReformulateRequest;
-using orx::net::DecodeReformulateResponse;
-using orx::net::DecodeSearchRequest;
-using orx::net::DecodeSearchResponse;
-using orx::net::DecodeValidateResponse;
+using namespace orx::net;
 
-/// Re-encoding a successfully decoded payload must produce bytes that
-/// decode to the same value (checked via second-round byte equality).
+/// Traps unless a payload that `decode` accepts is exactly what `encode`
+/// writes for the decoded value.
 template <typename Decode, typename Encode>
-void CheckFixpoint(const std::string& payload, Decode decode,
-                   Encode encode) {
-  auto first = decode(payload);
-  if (!first.ok()) return;
-  const std::string reencoded = encode(*first);
-  auto second = decode(reencoded);
-  if (!second.ok()) __builtin_trap();
-  if (encode(*second) != reencoded) __builtin_trap();
+void CheckCanonical(const std::string& payload, Decode decode,
+                    Encode encode) {
+  auto decoded = decode(payload);
+  if (!decoded.ok()) return;
+  if (encode(*decoded) != payload) __builtin_trap();
 }
 
 }  // namespace
@@ -46,34 +36,33 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size > (1u << 20)) return 0;
   const std::string input(reinterpret_cast<const char*>(data), size);
 
-  if (input.size() >= orx::net::kHeaderSize) {
-    auto header = orx::net::DecodeHeader(input.data());
-    if (header.ok() && header->payload_size > orx::net::kMaxPayload) {
+  if (input.size() >= kHeaderSize) {
+    auto header = DecodeHeader(input.data());
+    if (header.ok() && header->payload_size > kMaxPayload) {
       __builtin_trap();
     }
   }
 
   // Run every payload decoder over the bytes after the header (or the
   // whole input when it is shorter than a header) — each must be total.
-  const std::string payload = input.size() > orx::net::kHeaderSize
-                                  ? input.substr(orx::net::kHeaderSize)
-                                  : input;
-  CheckFixpoint(payload, DecodeSearchRequest,
-                orx::net::EncodeSearchRequest);
-  CheckFixpoint(payload, DecodeSearchResponse,
-                orx::net::EncodeSearchResponse);
-  CheckFixpoint(payload, DecodeExplainRequest,
-                orx::net::EncodeExplainRequest);
-  CheckFixpoint(payload, DecodeExplainResponse,
-                orx::net::EncodeExplainResponse);
-  CheckFixpoint(payload, DecodeReformulateRequest,
-                orx::net::EncodeReformulateRequest);
-  CheckFixpoint(payload, DecodeReformulateResponse,
-                orx::net::EncodeReformulateResponse);
-  CheckFixpoint(payload, DecodeValidateResponse,
-                orx::net::EncodeValidateResponse);
-  CheckFixpoint(payload, DecodeMetricsResponse,
-                orx::net::EncodeMetricsResponse);
-  orx::IgnoreError(DecodeErrorResponse(payload).status());
+  const std::string payload =
+      input.size() > kHeaderSize ? input.substr(kHeaderSize) : input;
+  CheckCanonical(payload, DecodeSearchRequest, EncodeSearchRequest);
+  CheckCanonical(payload, DecodeSearchResponse, EncodeSearchResponse);
+  CheckCanonical(payload, DecodeExplainRequest, EncodeExplainRequest);
+  CheckCanonical(payload, DecodeExplainResponse, EncodeExplainResponse);
+  CheckCanonical(payload, DecodeReformulateRequest,
+                 EncodeReformulateRequest);
+  CheckCanonical(payload, DecodeReformulateResponse,
+                 EncodeReformulateResponse);
+  CheckCanonical(payload, DecodeValidateResponse, EncodeValidateResponse);
+  CheckCanonical(payload, DecodeMetricsResponse, EncodeMetricsResponse);
+  CheckCanonical(payload, DecodeMutateRequest, EncodeMutateRequest);
+  CheckCanonical(payload, DecodeMutateResponse, EncodeMutateResponse);
+  CheckCanonical(payload, DecodeErrorResponse,
+                 [](const ErrorResponse& error) {
+                   return EncodeErrorResponse(
+                       orx::Status(error.code, error.message));
+                 });
   return 0;
 }

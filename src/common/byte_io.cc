@@ -1,30 +1,20 @@
 #include "common/byte_io.h"
 
-#include <algorithm>
 #include <cstring>
 
 namespace orx {
-namespace {
 
-// Elements appended per growth step of a length-prefixed read. Bounds
-// the allocation a corrupt length field can force before the stream
-// runs out of bytes: one chunk, not the full claimed length.
-constexpr size_t kChunkElements = size_t{1} << 16;
-
-}  // namespace
-
-Status ByteReader::Truncated(const char* what) const {
+Status ByteReader::Truncated(const char* what) {
+  offset_ = bytes_.size();
   return DataLossError("truncated " + std::string(what) + " at byte " +
                        std::to_string(offset_));
 }
 
 Status ByteReader::ReadBytes(char* out, size_t n, const char* what) {
+  if (n > remaining()) return Truncated(what);
+  // An empty input's data() may be null, which memcpy never accepts.
   if (n == 0) return Status::OK();
-  if (!in_.read(out, static_cast<std::streamsize>(n))) {
-    // gcount() bytes arrived before EOF; they are consumed either way.
-    offset_ += static_cast<uint64_t>(in_.gcount());
-    return Truncated(what);
-  }
+  std::memcpy(out, bytes_.data() + offset_, n);
   offset_ += n;
   return Status::OK();
 }
@@ -52,10 +42,10 @@ Status ByteReader::ReadU64(uint64_t* v, const char* what) {
 }
 
 Status ByteReader::ReadDouble(double* v, const char* what) {
-  static_assert(sizeof(double) == 8);
-  char buf[8];
-  ORX_RETURN_IF_ERROR(ReadBytes(buf, 8, what));
-  std::memcpy(v, buf, 8);
+  static_assert(sizeof(double) == sizeof(uint64_t));
+  uint64_t bits = 0;
+  ORX_RETURN_IF_ERROR(ReadU64(&bits, what));
+  std::memcpy(v, &bits, sizeof(bits));
   return Status::OK();
 }
 
@@ -68,15 +58,9 @@ Status ByteReader::ReadString(std::string* s, uint64_t limit,
                          std::to_string(len) + " at byte " +
                          std::to_string(offset_ - 4));
   }
-  s->clear();
-  size_t remaining = len;
-  while (remaining > 0) {
-    const size_t step = std::min(remaining, kChunkElements);
-    const size_t old_size = s->size();
-    s->resize(old_size + step);
-    ORX_RETURN_IF_ERROR(ReadBytes(s->data() + old_size, step, what));
-    remaining -= step;
-  }
+  if (len > remaining()) return Truncated(what);
+  s->assign(bytes_.data() + offset_, len);
+  offset_ += len;
   return Status::OK();
 }
 

@@ -318,8 +318,9 @@ void RunBlockPass(const graph::FusedLayout& layout,
 // frontier push while sparse; lanes that cross the density threshold join
 // a shared node-major block advanced by one SpMM pass per iteration, so
 // structure + weights stream once for all dense lanes. Lanes retire
-// (converge / cancel / hit max_iterations) individually and compact out
-// of the block; the survivors keep iterating at the narrower width.
+// (converge / hit max_iterations) individually and compact out of the
+// block; the survivors keep iterating at the narrower width. A tripped
+// cancellation hook retires every lane at once.
 void RunFusedBatch(const graph::AuthorityGraph& graph,
                    graph::FusedWeightCache& cache,
                    const graph::TransferRates& rates,
@@ -438,34 +439,23 @@ void RunFusedBatch(const graph::AuthorityGraph& graph,
   if (!joins.empty()) repack(joins);
 
   for (int iter = 1; iter <= options.max_iterations && active > 0; ++iter) {
-    // Cancellation sweep, before the iteration like Compute: the
-    // batch-wide hook (checked once per iteration) cancels every
-    // remaining lane; a per-lane hook retires only its own lane. A
-    // cancelled lane keeps its last completed iterate.
-    const bool batch_cancelled = options.cancel && options.cancel();
-    std::vector<size_t> keep_after_cancel;
-    bool block_changed = false;
-    for (size_t col = 0; col < block_ids.size(); ++col) {
-      const size_t id = block_ids[col];
-      if (batch_cancelled || (queries[id].cancel && queries[id].cancel())) {
+    // Cancellation, checked once before the iteration like Compute:
+    // every remaining lane retires as cancelled with its last completed
+    // iterate.
+    if (options.cancel && options.cancel()) {
+      for (size_t col = 0; col < block_ids.size(); ++col) {
         std::vector<double> scores;
         bcur.CopyLaneOut(col, layout->structure().row_order, scores);
-        retire(id, /*converged=*/false, /*cancelled=*/true,
+        retire(block_ids[col], /*converged=*/false, /*cancelled=*/true,
                std::move(scores));
-        block_changed = true;
-      } else {
-        keep_after_cancel.push_back(id);
       }
-    }
-    if (block_changed) repack(keep_after_cancel);
-    for (size_t i = 0; i < lanes.size(); ++i) {
-      if (lanes[i].phase != Phase::kSparse) continue;
-      if (batch_cancelled || (queries[i].cancel && queries[i].cancel())) {
+      for (size_t i = 0; i < lanes.size(); ++i) {
+        if (lanes[i].phase != Phase::kSparse) continue;
         retire(i, /*converged=*/false, /*cancelled=*/true,
                std::move(lanes[i].cur));
       }
+      break;
     }
-    if (active == 0) break;
 
     // Sparse lanes: one scalar frontier-push iteration each.
     joins.clear();
@@ -613,20 +603,11 @@ std::vector<ObjectRankResult> ObjectRankEngine::ComputeBatch(
   if (options.kernel != PowerKernel::kFused || queries.size() == 1) {
     // The reference kernel has no block form, and a single fused lane
     // has nothing to share (the single-vector kernel also skips the
-    // block layout's copies): run the lanes one by one with each lane's
-    // hook chained onto the batch hook. Per-lane results are
-    // bit-identical either way.
+    // block layout's copies): run the lanes one by one. Per-lane results
+    // are bit-identical either way.
     for (size_t i = 0; i < queries.size(); ++i) {
-      ObjectRankOptions lane_options = options;
-      if (queries[i].cancel) {
-        std::function<bool()> batch_cancel = options.cancel;
-        std::function<bool()> lane_cancel = queries[i].cancel;
-        lane_options.cancel = [batch_cancel, lane_cancel] {
-          return (batch_cancel && batch_cancel()) || lane_cancel();
-        };
-      }
-      results[i] = Compute(*queries[i].base, rates, lane_options,
-                           queries[i].warm_start);
+      results[i] =
+          Compute(*queries[i].base, rates, options, queries[i].warm_start);
     }
     return results;
   }

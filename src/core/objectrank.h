@@ -80,20 +80,14 @@ struct ObjectRankResult {
 };
 
 /// One query of an ObjectRankEngine::ComputeBatch call: the per-lane
-/// inputs that vary across the block (base set, warm start, cancellation),
-/// while the numeric options are shared batch-wide.
+/// inputs that vary across the block (base set, warm start), while the
+/// numeric options and the cancellation hook are shared batch-wide.
 struct BatchQuery {
   /// Required; must be non-empty (same contract as Compute).
   const BaseSet* base = nullptr;
   /// Optional warm start, used when it has one entry per node — exactly
   /// Compute's warm_start parameter.
   const std::vector<double>* warm_start = nullptr;
-  /// Optional per-lane cancellation hook, checked once before each of
-  /// this lane's iterations (in addition to the batch-wide options.cancel,
-  /// which cancels every lane). A tripped lane retires from the block as
-  /// cancelled; the remaining lanes keep iterating, so one lane's
-  /// deadline can expire without aborting the batch.
-  std::function<bool()> cancel;
 };
 
 /// The ObjectRank2 fixpoint solver over an authority transfer data graph.
@@ -148,16 +142,16 @@ class ObjectRankEngine {
   ///
   /// Per-lane semantics are exactly Compute's — queries[i]'s scores,
   /// iteration count, and converged/cancelled flags are bit-identical to
-  /// Compute(*queries[i].base, rates, options, queries[i].warm_start)
-  /// with queries[i].cancel chained onto options.cancel, for any thread
-  /// count (tests/batch_kernel_test.cc enforces this on randomized
+  /// Compute(*queries[i].base, rates, options, queries[i].warm_start),
+  /// for any thread count (tests/batch_kernel_test.cc enforces this on randomized
   /// inputs). That holds because each lane runs the identical scalar
   /// frontier push while sparse, joins the shared block only when it goes
   /// dense, accumulates per-edge sums in the same SELL order inside the
   /// block, and has its convergence checked against its own L1 residual
-  /// every iteration. Converged, cancelled, and max_iterations-expired
-  /// lanes retire — they compact out of the block and the remaining lanes
-  /// keep iterating, so B adapts downward as queries finish.
+  /// every iteration. Converged and max_iterations-expired lanes retire
+  /// — they compact out of the block and the remaining lanes keep
+  /// iterating, so B adapts downward as queries finish. A tripped
+  /// options.cancel retires every lane as cancelled.
   ///
   /// options.kernel selects the engine as in Compute; the non-fused
   /// kernels have no block form and fall back to per-lane Compute calls

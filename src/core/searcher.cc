@@ -26,6 +26,11 @@ Status ValidateOptions(const SearchOptions& options) {
   if (options.objectrank.max_iterations < 0) {
     return InvalidArgumentError("max_iterations must be >= 0");
   }
+  if (options.tier != SearchTier::kAuto &&
+      options.tier != SearchTier::kExact) {
+    return InvalidArgumentError(
+        "tier must be kAuto or kExact; kCached only reports an answer");
+  }
   return Status::OK();
 }
 
@@ -104,7 +109,6 @@ std::optional<SearchResult> Searcher::TryCacheAnswer(
     result.top =
         TopKOfType(cached->scores, options.k, *data_, options.result_type);
   }
-  result.from_cache = true;
   result.converged = true;
   result.seconds = cache_timer.ElapsedSeconds();
   result.base_set_size = base.size();
@@ -123,8 +127,7 @@ StatusOr<SearchResult> Searcher::SearchObjectRank2(
   if (!base.ok()) return base.status();
 
   CacheMissReason miss = CacheMissReason::kNone;
-  if (options.tier == SearchTier::kAuto ||
-      options.tier == SearchTier::kCached) {
+  if (options.tier == SearchTier::kAuto) {
     if (std::optional<SearchResult> hit =
             TryCacheAnswer(query, rates, options, *base, &miss)) {
       previous_scores_ = hit->scores;
@@ -160,9 +163,6 @@ StatusOr<SearchResult> Searcher::SearchObjectRank2(
   result.iterations = rank.iterations;
   result.converged = rank.converged;
   result.base_set_size = base->size();
-  // A kCached request that reaches the exact kernel fell back; kAuto's
-  // contract is "cache or exact", so that fallback is not an escalation.
-  result.escalated = options.tier == SearchTier::kCached;
   result.cache_miss_reason = miss;
   result.top = TopKOfType(rank.scores, options.k, *data_, options.result_type);
   result.scores = std::move(rank.scores);

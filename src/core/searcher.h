@@ -16,22 +16,22 @@
 
 namespace orx::core {
 
-/// Which execution tier answers a search. Every tier returns a sound
-/// ranking: a compressed rank-cache hit reports the certified error
-/// bound it carries, and the cache falls back to the exact kernel when
-/// the top-k set cannot be certified under it. The numeric values are
-/// the wire encoding (net/frame.h) — append only.
+/// Which execution tier answers a search: the paper's two ways, the
+/// power iteration on the fly or the precomputed per-keyword vectors
+/// (Section 6.2). A request names kAuto or kExact; kCached only reports
+/// what answered. Every answer is sound: a compressed rank-cache hit
+/// reports the certified error bound it carries, and the cache falls
+/// back to the exact kernel when the top-k set cannot be certified
+/// under it. The numeric values are the wire encoding (net/frame.h).
 enum class SearchTier : uint8_t {
-  /// Cache when fresh and certifiable, exact otherwise (the historical
-  /// behavior, and the default).
+  /// Cache when fresh and certifiable, exact otherwise (the default).
+  /// A miss is reported in SearchResult::cache_miss_reason.
   kAuto = 0,
   /// Always run the power iteration; the cache is not consulted.
   kExact = 1,
-  // Value 2 is reserved: older clients send it for the approximate
-  // tier, and the wire decoder rejects it (net/frame.h).
-  /// The same cache-or-exact path as kAuto, except that a miss (reason
-  /// in SearchResult::cache_miss_reason) is reported as escalated.
-  kCached = 3,
+  /// Answered from the rank cache (SearchResult::tier_used only; a
+  /// request naming it is kInvalidArgument).
+  kCached = 2,
 };
 
 /// Why a search was not answered from the rank cache. Ordered from
@@ -80,16 +80,14 @@ struct SearchOptions {
   /// query of a session is seeded with the global ObjectRank if
   /// PrecomputeGlobalRank was called.
   bool use_warm_start = true;
-  /// Execution tier; see SearchTier. Only ObjectRank2 mode dispatches on
-  /// it — baseline mode always runs its per-keyword exact product.
+  /// Execution tier, kAuto or kExact; see SearchTier. Only ObjectRank2
+  /// mode dispatches on it — baseline mode always runs its per-keyword
+  /// exact product.
   SearchTier tier = SearchTier::kAuto;
 };
 
 /// Outcome of one search.
 struct SearchResult {
-  /// True if the result came from the precomputed rank cache rather than
-  /// a power iteration (then `iterations` is 0).
-  bool from_cache = false;
   /// Top-k results, best first.
   std::vector<ScoredNode> top;
   /// Full converged score vector r^Q (needed by the explainer).
@@ -103,7 +101,8 @@ struct SearchResult {
   /// Wall-clock seconds of the ObjectRank execution stage.
   double seconds = 0.0;
   /// The tier that actually produced the scores (never kAuto): kCached
-  /// iff from_cache, kExact otherwise.
+  /// for the precomputed rank cache (then `iterations` is 0), kExact for
+  /// a power iteration.
   SearchTier tier_used = SearchTier::kExact;
   /// Certified additive error bound on `scores` (0 for exact results and
   /// dense cache hits). For every node v:
@@ -111,9 +110,6 @@ struct SearchResult {
   /// only stands when `top` provably equals the exact top-k set under
   /// this bound (CertifyTopK in core/top_k.h).
   double error_bound = 0.0;
-  /// True iff a kCached request could not be answered from the cache, so
-  /// the exact kernel ran instead.
-  bool escalated = false;
   /// Why the rank cache did not answer (kNone on a hit, or when the tier
   /// never consulted it).
   CacheMissReason cache_miss_reason = CacheMissReason::kNone;
@@ -157,7 +153,8 @@ class Searcher {
   /// Runs a search. Errors: kNotFound if no query keyword matches any
   /// node; kInvalidArgument on an empty query vector or on out-of-range
   /// options (k == 0, damping outside [0, 1) or non-finite, epsilon <= 0,
-  /// negative max_iterations); kDeadlineExceeded when
+  /// negative max_iterations, a tier other than kAuto or kExact);
+  /// kDeadlineExceeded when
   /// options.objectrank.cancel stopped the power iteration (the partial
   /// scores are discarded and the warm-start state is left untouched).
   StatusOr<SearchResult> Search(const text::QueryVector& query,

@@ -1,7 +1,7 @@
 #include "io/snapshot_io.h"
 
 #include <cstring>
-#include <sstream>
+#include <string>
 #include <utility>
 
 #include "common/byte_io.h"
@@ -78,8 +78,7 @@ struct DatasetMeta {
 };
 
 StatusOr<DatasetMeta> ParseDatasetMeta(std::span<const char> bytes) {
-  std::istringstream in(std::string(bytes.data(), bytes.size()));
-  ByteReader reader(in);
+  ByteReader reader(bytes);
   uint32_t version = 0;
   ORX_RETURN_IF_ERROR(reader.ReadU32(&version, "meta version"));
   if (version != kMetaVersion) {
@@ -440,8 +439,7 @@ StatusOr<core::RankCache> OpenMappedRankCache(
 
   auto meta_bytes = c.Bytes("meta");
   if (!meta_bytes.ok()) return meta_bytes.status();
-  std::istringstream in(std::string(meta_bytes->data(), meta_bytes->size()));
-  ByteReader reader(in);
+  ByteReader reader(*meta_bytes);
   uint32_t version = 0;
   ORX_RETURN_IF_ERROR(reader.ReadU32(&version, "meta version"));
   if (version != kMetaVersion &&

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 #include "common/byte_io.h"
+#include "core/searcher.h"
 
 namespace orx::net {
 namespace {
@@ -21,55 +21,42 @@ constexpr uint64_t kCountLimit = 1u << 20;
 constexpr uint64_t kMutationLimit = 1u << 16;
 constexpr uint64_t kAttributeLimit = 1u << 12;
 
-// Highest core::SearchTier wire value (kCached). The tier enum is
-// append-only, so a value above this is a malformed frame, not a newer
-// peer — newer tiers would bump this constant in lockstep.
-constexpr uint8_t kMaxWireTier = 3;
-// Reserved tier value: older clients send it for the approximate tier,
-// which this server no longer has, so it is refused rather than cast.
-constexpr uint8_t kReservedWireTier = 2;
+// core::SearchTier wire values. A request names kAuto or kExact; kCached
+// only ever reports what answered one, as does kExact, never kAuto.
+constexpr uint8_t kAutoTier = static_cast<uint8_t>(core::SearchTier::kAuto);
+constexpr uint8_t kExactTier = static_cast<uint8_t>(core::SearchTier::kExact);
+constexpr uint8_t kCachedTier =
+    static_cast<uint8_t>(core::SearchTier::kCached);
 
-// ByteReader is the hardened offset-tracking reader the binary
-// decoders share; wrapping the payload in a stream reuses it
-// verbatim (payloads are already bounded by kMaxPayload, so the copy
-// into the stream is bounded too).
-class PayloadReader {
- public:
-  explicit PayloadReader(const std::string& payload)
-      : stream_(payload), reader_(stream_) {}
-
-  ByteReader& reader() { return reader_; }
-
-  /// Trailing bytes after the last field are a malformed frame, not
-  /// padding: flag them so a fuzzer (or an attacker) can't smuggle
-  /// unparsed bytes past the codec.
-  Status ExpectExhausted(const char* what) {
-    stream_.peek();
-    if (!stream_.eof()) {
-      return DataLossError(std::string("trailing bytes after ") + what +
-                           " at byte " + std::to_string(reader_.offset()));
-    }
-    return Status::OK();
+// Trailing bytes after the last field are a malformed frame, not
+// padding: flag them so a fuzzer (or an attacker) can't smuggle unparsed
+// bytes past the codec.
+Status ExpectExhausted(const ByteReader& reader, const char* what) {
+  if (reader.remaining() != 0) {
+    return DataLossError(std::string("trailing bytes after ") + what +
+                         " at byte " + std::to_string(reader.offset()));
   }
-
-  /// Whether every payload byte has been consumed. Gate for trailing
-  /// optional field groups: absent → defaults (a pre-tier peer), present
-  /// → the whole group must parse and ExpectExhausted still applies, so
-  /// a half-written group is kDataLoss rather than silent defaults.
-  bool AtEnd() {
-    stream_.peek();
-    return stream_.eof();
-  }
-
- private:
-  std::istringstream stream_;
-  ByteReader reader_;
-};
+  return Status::OK();
+}
 
 Status ReadU8(ByteReader& reader, uint8_t* v, const char* what) {
   char c;
   ORX_RETURN_IF_ERROR(reader.ReadBytes(&c, 1, what));
   *v = static_cast<uint8_t>(c);
+  return Status::OK();
+}
+
+// A bool is one byte, 0 or 1: any other value is malformed, so every
+// accepted payload re-encodes to the same bytes.
+Status ReadBool(ByteReader& reader, bool* v, const char* what) {
+  uint8_t byte = 0;
+  ORX_RETURN_IF_ERROR(ReadU8(reader, &byte, what));
+  if (byte > 1) {
+    return DataLossError("bad " + std::string(what) + " byte " +
+                         std::to_string(byte) + " at byte " +
+                         std::to_string(reader.offset()));
+  }
+  *v = byte == 1;
   return Status::OK();
 }
 
@@ -186,28 +173,20 @@ std::string EncodeSearchRequest(const SearchRequest& request) {
 }
 
 StatusOr<SearchRequest> DecodeSearchRequest(const std::string& payload) {
-  PayloadReader in(payload);
+  ByteReader in(payload);
   SearchRequest request;
   ORX_RETURN_IF_ERROR(
-      in.reader().ReadString(&request.query, kQueryLimit, "search query"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadU32(&request.k, "search k"));
+      in.ReadString(&request.query, kQueryLimit, "search query"));
+  ORX_RETURN_IF_ERROR(in.ReadU32(&request.k, "search k"));
   ORX_RETURN_IF_ERROR(
-      in.reader().ReadDouble(&request.deadline_seconds, "search deadline"));
-  if (!in.AtEnd()) {
-    ORX_RETURN_IF_ERROR(ReadU8(in.reader(), &request.tier, "search tier"));
-    if (request.tier == kReservedWireTier) {
-      return DataLossError(
-          "search tier 2 (approximate) was removed; use 0 auto, 1 exact or "
-          "3 cached, at byte " +
-          std::to_string(in.reader().offset()));
-    }
-    if (request.tier > kMaxWireTier) {
-      return DataLossError("unknown search tier " +
-                           std::to_string(request.tier) + " at byte " +
-                           std::to_string(in.reader().offset()));
-    }
+      in.ReadDouble(&request.deadline_seconds, "search deadline"));
+  ORX_RETURN_IF_ERROR(ReadU8(in, &request.tier, "search tier"));
+  if (request.tier != kAutoTier && request.tier != kExactTier) {
+    return DataLossError("bad search tier " + std::to_string(request.tier) +
+                         " (a request names 0 auto or 1 exact) at byte " +
+                         std::to_string(in.offset()));
   }
-  ORX_RETURN_IF_ERROR(in.ExpectExhausted("search request"));
+  ORX_RETURN_IF_ERROR(ExpectExhausted(in, "search request"));
   return request;
 }
 
@@ -221,63 +200,47 @@ std::string EncodeSearchResponse(const SearchResponse& response) {
     AppendString(&out, r.display_label);
   }
   AppendU32(&out, response.iterations);
-  out.push_back(response.from_rank_cache ? 1 : 0);
   out.push_back(response.cache_hit ? 1 : 0);
   out.push_back(response.coalesced ? 1 : 0);
   AppendU64(&out, response.snapshot_version);
   AppendDouble(&out, response.total_seconds);
   out.push_back(static_cast<char>(response.tier_used));
   AppendDouble(&out, response.error_bound);
-  out.push_back(1);  // reserved: older decoders read it as "certified"
-  out.push_back(response.escalated ? 1 : 0);
   return out;
 }
 
 StatusOr<SearchResponse> DecodeSearchResponse(const std::string& payload) {
-  PayloadReader in(payload);
+  ByteReader in(payload);
   SearchResponse response;
   uint32_t count = 0;
   ORX_RETURN_IF_ERROR(
-      ReadBoundedCount(in.reader(), &count, kCountLimit, "search result"));
+      ReadBoundedCount(in, &count, kCountLimit, "search result"));
   response.results.reserve(std::min<uint32_t>(count, 4096));
   for (uint32_t i = 0; i < count; ++i) {
     WireResult r;
-    ORX_RETURN_IF_ERROR(in.reader().ReadU64(&r.node, "result node"));
-    ORX_RETURN_IF_ERROR(in.reader().ReadDouble(&r.score, "result score"));
+    ORX_RETURN_IF_ERROR(in.ReadU64(&r.node, "result node"));
+    ORX_RETURN_IF_ERROR(in.ReadDouble(&r.score, "result score"));
     ORX_RETURN_IF_ERROR(
-        in.reader().ReadString(&r.type_label, kLabelLimit, "result type"));
-    ORX_RETURN_IF_ERROR(in.reader().ReadString(&r.display_label, kLabelLimit,
-                                               "result label"));
+        in.ReadString(&r.type_label, kLabelLimit, "result type"));
+    ORX_RETURN_IF_ERROR(
+        in.ReadString(&r.display_label, kLabelLimit, "result label"));
     response.results.push_back(std::move(r));
   }
+  ORX_RETURN_IF_ERROR(in.ReadU32(&response.iterations, "iterations"));
+  ORX_RETURN_IF_ERROR(ReadBool(in, &response.cache_hit, "cache_hit"));
+  ORX_RETURN_IF_ERROR(ReadBool(in, &response.coalesced, "coalesced"));
   ORX_RETURN_IF_ERROR(
-      in.reader().ReadU32(&response.iterations, "iterations"));
-  uint8_t flag = 0;
-  ORX_RETURN_IF_ERROR(ReadU8(in.reader(), &flag, "from_rank_cache"));
-  response.from_rank_cache = flag != 0;
-  ORX_RETURN_IF_ERROR(ReadU8(in.reader(), &flag, "cache_hit"));
-  response.cache_hit = flag != 0;
-  ORX_RETURN_IF_ERROR(ReadU8(in.reader(), &flag, "coalesced"));
-  response.coalesced = flag != 0;
-  ORX_RETURN_IF_ERROR(
-      in.reader().ReadU64(&response.snapshot_version, "snapshot version"));
-  ORX_RETURN_IF_ERROR(
-      in.reader().ReadDouble(&response.total_seconds, "total seconds"));
-  if (!in.AtEnd()) {
-    ORX_RETURN_IF_ERROR(
-        ReadU8(in.reader(), &response.tier_used, "tier used"));
-    if (response.tier_used > kMaxWireTier) {
-      return DataLossError("unknown tier_used " +
-                           std::to_string(response.tier_used) + " at byte " +
-                           std::to_string(in.reader().offset()));
-    }
-    ORX_RETURN_IF_ERROR(
-        in.reader().ReadDouble(&response.error_bound, "error bound"));
-    ORX_RETURN_IF_ERROR(ReadU8(in.reader(), &flag, "reserved tier byte"));
-    ORX_RETURN_IF_ERROR(ReadU8(in.reader(), &flag, "escalated"));
-    response.escalated = flag != 0;
+      in.ReadU64(&response.snapshot_version, "snapshot version"));
+  ORX_RETURN_IF_ERROR(in.ReadDouble(&response.total_seconds, "total seconds"));
+  ORX_RETURN_IF_ERROR(ReadU8(in, &response.tier_used, "tier used"));
+  if (response.tier_used != kExactTier && response.tier_used != kCachedTier) {
+    return DataLossError("bad tier_used " +
+                         std::to_string(response.tier_used) +
+                         " (an answer reports 1 exact or 2 cached) at byte " +
+                         std::to_string(in.offset()));
   }
-  ORX_RETURN_IF_ERROR(in.ExpectExhausted("search response"));
+  ORX_RETURN_IF_ERROR(in.ReadDouble(&response.error_bound, "error bound"));
+  ORX_RETURN_IF_ERROR(ExpectExhausted(in, "search response"));
   return response;
 }
 
@@ -289,13 +252,12 @@ std::string EncodeExplainRequest(const ExplainRequest& request) {
 }
 
 StatusOr<ExplainRequest> DecodeExplainRequest(const std::string& payload) {
-  PayloadReader in(payload);
+  ByteReader in(payload);
   ExplainRequest request;
   ORX_RETURN_IF_ERROR(
-      in.reader().ReadString(&request.query, kQueryLimit, "explain query"));
-  ORX_RETURN_IF_ERROR(
-      in.reader().ReadU32(&request.target_rank, "explain target rank"));
-  ORX_RETURN_IF_ERROR(in.ExpectExhausted("explain request"));
+      in.ReadString(&request.query, kQueryLimit, "explain query"));
+  ORX_RETURN_IF_ERROR(in.ReadU32(&request.target_rank, "explain target rank"));
+  ORX_RETURN_IF_ERROR(ExpectExhausted(in, "explain request"));
   return request;
 }
 
@@ -309,17 +271,16 @@ std::string EncodeExplainResponse(const ExplainResponse& response) {
 }
 
 StatusOr<ExplainResponse> DecodeExplainResponse(const std::string& payload) {
-  PayloadReader in(payload);
+  ByteReader in(payload);
   ExplainResponse response;
   ORX_RETURN_IF_ERROR(
-      in.reader().ReadString(&response.text, kTextLimit, "explain text"));
+      in.ReadString(&response.text, kTextLimit, "explain text"));
+  ORX_RETURN_IF_ERROR(in.ReadU32(&response.iterations, "explain iterations"));
   ORX_RETURN_IF_ERROR(
-      in.reader().ReadU32(&response.iterations, "explain iterations"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadDouble(&response.construction_seconds,
-                                             "construction seconds"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadDouble(&response.adjustment_seconds,
-                                             "adjustment seconds"));
-  ORX_RETURN_IF_ERROR(in.ExpectExhausted("explain response"));
+      in.ReadDouble(&response.construction_seconds, "construction seconds"));
+  ORX_RETURN_IF_ERROR(
+      in.ReadDouble(&response.adjustment_seconds, "adjustment seconds"));
+  ORX_RETURN_IF_ERROR(ExpectExhausted(in, "explain response"));
   return response;
 }
 
@@ -333,20 +294,20 @@ std::string EncodeReformulateRequest(const ReformulateRequest& request) {
 
 StatusOr<ReformulateRequest> DecodeReformulateRequest(
     const std::string& payload) {
-  PayloadReader in(payload);
+  ByteReader in(payload);
   ReformulateRequest request;
-  ORX_RETURN_IF_ERROR(in.reader().ReadString(&request.query, kQueryLimit,
-                                             "reformulate query"));
+  ORX_RETURN_IF_ERROR(
+      in.ReadString(&request.query, kQueryLimit, "reformulate query"));
   uint32_t count = 0;
   ORX_RETURN_IF_ERROR(
-      ReadBoundedCount(in.reader(), &count, kCountLimit, "feedback rank"));
+      ReadBoundedCount(in, &count, kCountLimit, "feedback rank"));
   request.feedback_ranks.reserve(std::min<uint32_t>(count, 4096));
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t rank = 0;
-    ORX_RETURN_IF_ERROR(in.reader().ReadU32(&rank, "feedback rank"));
+    ORX_RETURN_IF_ERROR(in.ReadU32(&rank, "feedback rank"));
     request.feedback_ranks.push_back(rank);
   }
-  ORX_RETURN_IF_ERROR(in.ExpectExhausted("reformulate request"));
+  ORX_RETURN_IF_ERROR(ExpectExhausted(in, "reformulate request"));
   return request;
 }
 
@@ -365,26 +326,24 @@ std::string EncodeReformulateResponse(const ReformulateResponse& response) {
 
 StatusOr<ReformulateResponse> DecodeReformulateResponse(
     const std::string& payload) {
-  PayloadReader in(payload);
+  ByteReader in(payload);
   ReformulateResponse response;
-  ORX_RETURN_IF_ERROR(in.reader().ReadString(
+  ORX_RETURN_IF_ERROR(in.ReadString(
       &response.reformulated_query, kQueryLimit, "reformulated query"));
   uint32_t count = 0;
   ORX_RETURN_IF_ERROR(
-      ReadBoundedCount(in.reader(), &count, kCountLimit, "expansion term"));
+      ReadBoundedCount(in, &count, kCountLimit, "expansion term"));
   response.top_expansion_terms.reserve(std::min<uint32_t>(count, 4096));
   for (uint32_t i = 0; i < count; ++i) {
     std::string term;
     double weight = 0.0;
-    ORX_RETURN_IF_ERROR(
-        in.reader().ReadString(&term, kLabelLimit, "expansion term"));
-    ORX_RETURN_IF_ERROR(
-        in.reader().ReadDouble(&weight, "expansion weight"));
+    ORX_RETURN_IF_ERROR(in.ReadString(&term, kLabelLimit, "expansion term"));
+    ORX_RETURN_IF_ERROR(in.ReadDouble(&weight, "expansion weight"));
     response.top_expansion_terms.emplace_back(std::move(term), weight);
   }
-  ORX_RETURN_IF_ERROR(in.reader().ReadDouble(&response.reformulation_seconds,
-                                             "reformulation seconds"));
-  ORX_RETURN_IF_ERROR(in.ExpectExhausted("reformulate response"));
+  ORX_RETURN_IF_ERROR(
+      in.ReadDouble(&response.reformulation_seconds, "reformulation seconds"));
+  ORX_RETURN_IF_ERROR(ExpectExhausted(in, "reformulate response"));
   return response;
 }
 
@@ -397,14 +356,12 @@ std::string EncodeValidateResponse(const ValidateResponse& response) {
 
 StatusOr<ValidateResponse> DecodeValidateResponse(
     const std::string& payload) {
-  PayloadReader in(payload);
+  ByteReader in(payload);
   ValidateResponse response;
-  uint8_t ok = 0;
-  ORX_RETURN_IF_ERROR(ReadU8(in.reader(), &ok, "validate ok"));
-  response.ok = ok != 0;
+  ORX_RETURN_IF_ERROR(ReadBool(in, &response.ok, "validate ok"));
   ORX_RETURN_IF_ERROR(
-      in.reader().ReadString(&response.report, kTextLimit, "validate report"));
-  ORX_RETURN_IF_ERROR(in.ExpectExhausted("validate response"));
+      in.ReadString(&response.report, kTextLimit, "validate report"));
+  ORX_RETURN_IF_ERROR(ExpectExhausted(in, "validate response"));
   return response;
 }
 
@@ -419,10 +376,6 @@ std::string EncodeMetricsResponse(const MetricsResponse& response) {
   AppendU64(&out, m.deadline_exceeded);
   AppendU64(&out, m.failed);
   AppendU64(&out, m.completed);
-  AppendU64(&out, 0);  // reserved: older decoders read batch count
-  AppendU64(&out, 0);  // reserved: older decoders read batched queries
-  AppendU64(&out, 0);  // reserved: older decoders read max occupancy
-  AppendDouble(&out, 0.0);  // reserved: older decoders read mean occupancy
   AppendDouble(&out, m.uptime_seconds);
   AppendDouble(&out, m.qps);
   AppendDouble(&out, m.latency_mean);
@@ -444,11 +397,8 @@ std::string EncodeMetricsResponse(const MetricsResponse& response) {
   AppendU64(&out, response.epochs_live);
   AppendU64(&out, response.rank_terms_reused);
   AppendU64(&out, response.rank_terms_refreshed);
-  // Trailing optional tier block — pre-tier decoders stop above.
   AppendU64(&out, m.tier_exact);
-  AppendU64(&out, 0);  // reserved: older decoders read approximate count
   AppendU64(&out, m.tier_cached);
-  AppendU64(&out, m.escalations);
   AppendU64(&out, m.miss_no_cache);
   AppendU64(&out, m.miss_rates_mismatch);
   AppendU64(&out, m.miss_bm25_mismatch);
@@ -456,103 +406,64 @@ std::string EncodeMetricsResponse(const MetricsResponse& response) {
   AppendU64(&out, m.miss_error_budget);
   AppendDouble(&out, m.tier_exact_p50);
   AppendDouble(&out, m.tier_exact_p99);
-  AppendDouble(&out, 0.0);  // reserved: older decoders read approximate p50
-  AppendDouble(&out, 0.0);  // reserved: older decoders read approximate p99
   AppendDouble(&out, m.tier_cached_p50);
   AppendDouble(&out, m.tier_cached_p99);
   return out;
 }
 
 StatusOr<MetricsResponse> DecodeMetricsResponse(const std::string& payload) {
-  PayloadReader in(payload);
+  ByteReader in(payload);
   MetricsResponse response;
   serve::ServeMetrics& m = response.serve;
-  ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.submitted, "submitted"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.rejected, "rejected"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.cache_hits, "cache_hits"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.coalesced, "coalesced"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.executed, "executed"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&m.submitted, "submitted"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&m.rejected, "rejected"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&m.cache_hits, "cache_hits"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&m.coalesced, "coalesced"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&m.executed, "executed"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&m.deadline_exceeded, "deadline_exceeded"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&m.failed, "failed"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&m.completed, "completed"));
+  ORX_RETURN_IF_ERROR(in.ReadDouble(&m.uptime_seconds, "uptime_seconds"));
+  ORX_RETURN_IF_ERROR(in.ReadDouble(&m.qps, "qps"));
+  ORX_RETURN_IF_ERROR(in.ReadDouble(&m.latency_mean, "latency_mean"));
+  ORX_RETURN_IF_ERROR(in.ReadDouble(&m.latency_p50, "latency_p50"));
+  ORX_RETURN_IF_ERROR(in.ReadDouble(&m.latency_p95, "latency_p95"));
+  ORX_RETURN_IF_ERROR(in.ReadDouble(&m.latency_p99, "latency_p99"));
   ORX_RETURN_IF_ERROR(
-      in.reader().ReadU64(&m.deadline_exceeded, "deadline_exceeded"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.failed, "failed"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.completed, "completed"));
-  // Reserved slots are read and ignored, whatever an older server wrote.
-  uint64_t reserved = 0;
-  double reserved_double = 0.0;
-  ORX_RETURN_IF_ERROR(in.reader().ReadU64(&reserved, "reserved batch count"));
+      in.ReadU64(&response.connections_accepted, "connections_accepted"));
   ORX_RETURN_IF_ERROR(
-      in.reader().ReadU64(&reserved, "reserved batched queries"));
+      in.ReadU64(&response.connections_open, "connections_open"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&response.frames_received, "frames_received"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&response.frames_sent, "frames_sent"));
   ORX_RETURN_IF_ERROR(
-      in.reader().ReadU64(&reserved, "reserved max occupancy"));
+      in.ReadU64(&response.error_frames_sent, "error_frames_sent"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&response.decode_errors, "decode_errors"));
   ORX_RETURN_IF_ERROR(
-      in.reader().ReadDouble(&reserved_double, "reserved mean occupancy"));
+      in.ReadU64(&response.backpressure_closes, "backpressure_closes"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&response.idle_closes, "idle_closes"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&response.mutate_accepted, "mutate_accepted"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&response.mutate_rejected, "mutate_rejected"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&response.mutate_queued, "mutate_queued"));
   ORX_RETURN_IF_ERROR(
-      in.reader().ReadDouble(&m.uptime_seconds, "uptime_seconds"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadDouble(&m.qps, "qps"));
+      in.ReadU64(&response.snapshots_published, "snapshots_published"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&response.epochs_live, "epochs_live"));
   ORX_RETURN_IF_ERROR(
-      in.reader().ReadDouble(&m.latency_mean, "latency_mean"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadDouble(&m.latency_p50, "latency_p50"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadDouble(&m.latency_p95, "latency_p95"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadDouble(&m.latency_p99, "latency_p99"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadU64(&response.connections_accepted,
-                                          "connections_accepted"));
+      in.ReadU64(&response.rank_terms_reused, "rank_terms_reused"));
   ORX_RETURN_IF_ERROR(
-      in.reader().ReadU64(&response.connections_open, "connections_open"));
+      in.ReadU64(&response.rank_terms_refreshed, "rank_terms_refreshed"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&m.tier_exact, "tier_exact"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&m.tier_cached, "tier_cached"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&m.miss_no_cache, "miss_no_cache"));
   ORX_RETURN_IF_ERROR(
-      in.reader().ReadU64(&response.frames_received, "frames_received"));
-  ORX_RETURN_IF_ERROR(
-      in.reader().ReadU64(&response.frames_sent, "frames_sent"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadU64(&response.error_frames_sent,
-                                          "error_frames_sent"));
-  ORX_RETURN_IF_ERROR(
-      in.reader().ReadU64(&response.decode_errors, "decode_errors"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadU64(&response.backpressure_closes,
-                                          "backpressure_closes"));
-  ORX_RETURN_IF_ERROR(
-      in.reader().ReadU64(&response.idle_closes, "idle_closes"));
-  ORX_RETURN_IF_ERROR(
-      in.reader().ReadU64(&response.mutate_accepted, "mutate_accepted"));
-  ORX_RETURN_IF_ERROR(
-      in.reader().ReadU64(&response.mutate_rejected, "mutate_rejected"));
-  ORX_RETURN_IF_ERROR(
-      in.reader().ReadU64(&response.mutate_queued, "mutate_queued"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadU64(&response.snapshots_published,
-                                          "snapshots_published"));
-  ORX_RETURN_IF_ERROR(
-      in.reader().ReadU64(&response.epochs_live, "epochs_live"));
-  ORX_RETURN_IF_ERROR(
-      in.reader().ReadU64(&response.rank_terms_reused, "rank_terms_reused"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadU64(&response.rank_terms_refreshed,
-                                          "rank_terms_refreshed"));
-  if (!in.AtEnd()) {
-    ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.tier_exact, "tier_exact"));
-    ORX_RETURN_IF_ERROR(in.reader().ReadU64(&reserved, "reserved tier slot"));
-    ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.tier_cached, "tier_cached"));
-    ORX_RETURN_IF_ERROR(in.reader().ReadU64(&m.escalations, "escalations"));
-    ORX_RETURN_IF_ERROR(
-        in.reader().ReadU64(&m.miss_no_cache, "miss_no_cache"));
-    ORX_RETURN_IF_ERROR(
-        in.reader().ReadU64(&m.miss_rates_mismatch, "miss_rates_mismatch"));
-    ORX_RETURN_IF_ERROR(
-        in.reader().ReadU64(&m.miss_bm25_mismatch, "miss_bm25_mismatch"));
-    ORX_RETURN_IF_ERROR(
-        in.reader().ReadU64(&m.miss_missing_terms, "miss_missing_terms"));
-    ORX_RETURN_IF_ERROR(
-        in.reader().ReadU64(&m.miss_error_budget, "miss_error_budget"));
-    ORX_RETURN_IF_ERROR(
-        in.reader().ReadDouble(&m.tier_exact_p50, "tier_exact_p50"));
-    ORX_RETURN_IF_ERROR(
-        in.reader().ReadDouble(&m.tier_exact_p99, "tier_exact_p99"));
-    ORX_RETURN_IF_ERROR(
-        in.reader().ReadDouble(&reserved_double, "reserved tier p50"));
-    ORX_RETURN_IF_ERROR(
-        in.reader().ReadDouble(&reserved_double, "reserved tier p99"));
-    ORX_RETURN_IF_ERROR(
-        in.reader().ReadDouble(&m.tier_cached_p50, "tier_cached_p50"));
-    ORX_RETURN_IF_ERROR(
-        in.reader().ReadDouble(&m.tier_cached_p99, "tier_cached_p99"));
-  }
-  ORX_RETURN_IF_ERROR(in.ExpectExhausted("metrics response"));
+      in.ReadU64(&m.miss_rates_mismatch, "miss_rates_mismatch"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&m.miss_bm25_mismatch, "miss_bm25_mismatch"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&m.miss_missing_terms, "miss_missing_terms"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&m.miss_error_budget, "miss_error_budget"));
+  ORX_RETURN_IF_ERROR(in.ReadDouble(&m.tier_exact_p50, "tier_exact_p50"));
+  ORX_RETURN_IF_ERROR(in.ReadDouble(&m.tier_exact_p99, "tier_exact_p99"));
+  ORX_RETURN_IF_ERROR(in.ReadDouble(&m.tier_cached_p50, "tier_cached_p50"));
+  ORX_RETURN_IF_ERROR(in.ReadDouble(&m.tier_cached_p99, "tier_cached_p99"));
+  ORX_RETURN_IF_ERROR(ExpectExhausted(in, "metrics response"));
   return response;
 }
 
@@ -576,41 +487,41 @@ std::string EncodeMutateRequest(const MutateRequest& request) {
 }
 
 StatusOr<MutateRequest> DecodeMutateRequest(const std::string& payload) {
-  PayloadReader in(payload);
+  ByteReader in(payload);
   MutateRequest request;
   uint32_t count = 0;
   ORX_RETURN_IF_ERROR(
-      ReadBoundedCount(in.reader(), &count, kMutationLimit, "mutation"));
+      ReadBoundedCount(in, &count, kMutationLimit, "mutation"));
   request.batch.mutations.reserve(std::min<uint32_t>(count, 4096));
   for (uint32_t i = 0; i < count; ++i) {
     mutate::Mutation m;
     uint8_t kind = 0;
-    ORX_RETURN_IF_ERROR(ReadU8(in.reader(), &kind, "mutation kind"));
+    ORX_RETURN_IF_ERROR(ReadU8(in, &kind, "mutation kind"));
     if (kind > mutate::kMaxMutationKind) {
       return DataLossError("unknown mutation kind " + std::to_string(kind) +
-                           " at byte " + std::to_string(in.reader().offset()));
+                           " at byte " + std::to_string(in.offset()));
     }
     m.kind = static_cast<mutate::MutationKind>(kind);
-    ORX_RETURN_IF_ERROR(in.reader().ReadU32(&m.node_type, "node type"));
-    ORX_RETURN_IF_ERROR(in.reader().ReadU32(&m.node, "mutation node"));
-    ORX_RETURN_IF_ERROR(in.reader().ReadU32(&m.from, "edge from"));
-    ORX_RETURN_IF_ERROR(in.reader().ReadU32(&m.to, "edge to"));
-    ORX_RETURN_IF_ERROR(in.reader().ReadU32(&m.edge_type, "edge type"));
+    ORX_RETURN_IF_ERROR(in.ReadU32(&m.node_type, "node type"));
+    ORX_RETURN_IF_ERROR(in.ReadU32(&m.node, "mutation node"));
+    ORX_RETURN_IF_ERROR(in.ReadU32(&m.from, "edge from"));
+    ORX_RETURN_IF_ERROR(in.ReadU32(&m.to, "edge to"));
+    ORX_RETURN_IF_ERROR(in.ReadU32(&m.edge_type, "edge type"));
     uint32_t attrs = 0;
     ORX_RETURN_IF_ERROR(
-        ReadBoundedCount(in.reader(), &attrs, kAttributeLimit, "attribute"));
+        ReadBoundedCount(in, &attrs, kAttributeLimit, "attribute"));
     m.attributes.reserve(std::min<uint32_t>(attrs, 256));
     for (uint32_t a = 0; a < attrs; ++a) {
       graph::Attribute attribute;
-      ORX_RETURN_IF_ERROR(in.reader().ReadString(&attribute.name, kLabelLimit,
-                                                 "attribute name"));
-      ORX_RETURN_IF_ERROR(in.reader().ReadString(&attribute.value, kLabelLimit,
-                                                 "attribute value"));
+      ORX_RETURN_IF_ERROR(
+          in.ReadString(&attribute.name, kLabelLimit, "attribute name"));
+      ORX_RETURN_IF_ERROR(
+          in.ReadString(&attribute.value, kLabelLimit, "attribute value"));
       m.attributes.push_back(std::move(attribute));
     }
     request.batch.mutations.push_back(std::move(m));
   }
-  ORX_RETURN_IF_ERROR(in.ExpectExhausted("mutate request"));
+  ORX_RETURN_IF_ERROR(ExpectExhausted(in, "mutate request"));
   return request;
 }
 
@@ -622,12 +533,11 @@ std::string EncodeMutateResponse(const MutateResponse& response) {
 }
 
 StatusOr<MutateResponse> DecodeMutateResponse(const std::string& payload) {
-  PayloadReader in(payload);
+  ByteReader in(payload);
   MutateResponse response;
-  ORX_RETURN_IF_ERROR(
-      in.reader().ReadU64(&response.sequence, "mutate sequence"));
-  ORX_RETURN_IF_ERROR(in.reader().ReadU64(&response.queued, "mutate queued"));
-  ORX_RETURN_IF_ERROR(in.ExpectExhausted("mutate response"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&response.sequence, "mutate sequence"));
+  ORX_RETURN_IF_ERROR(in.ReadU64(&response.queued, "mutate queued"));
+  ORX_RETURN_IF_ERROR(ExpectExhausted(in, "mutate response"));
   return response;
 }
 
@@ -639,18 +549,18 @@ std::string EncodeErrorResponse(const Status& status) {
 }
 
 StatusOr<ErrorResponse> DecodeErrorResponse(const std::string& payload) {
-  PayloadReader in(payload);
+  ByteReader in(payload);
   ErrorResponse response;
   uint32_t code = 0;
-  ORX_RETURN_IF_ERROR(in.reader().ReadU32(&code, "error code"));
+  ORX_RETURN_IF_ERROR(in.ReadU32(&code, "error code"));
   if (code > static_cast<uint32_t>(StatusCode::kDeadlineExceeded)) {
     return DataLossError("unknown status code " + std::to_string(code) +
-                         " at byte " + std::to_string(in.reader().offset()));
+                         " at byte " + std::to_string(in.offset()));
   }
   response.code = static_cast<StatusCode>(code);
-  ORX_RETURN_IF_ERROR(in.reader().ReadString(&response.message, kQueryLimit,
-                                             "error message"));
-  ORX_RETURN_IF_ERROR(in.ExpectExhausted("error response"));
+  ORX_RETURN_IF_ERROR(
+      in.ReadString(&response.message, kQueryLimit, "error message"));
+  ORX_RETURN_IF_ERROR(ExpectExhausted(in, "error response"));
   return response;
 }
 

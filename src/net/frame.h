@@ -18,7 +18,7 @@ namespace orx::net {
 ///
 /// Frame layout:
 ///   u32  magic        "ORXN" (0x4E58524F little-endian)
-///   u8   version      1
+///   u8   version      kVersion (2); any other value is refused
 ///   u8   op           Op below
 ///   u16  reserved     0 on the wire; receivers ignore it
 ///   u64  request_id   echoed verbatim in the response; clients pipeline
@@ -36,6 +36,12 @@ namespace orx::net {
 /// input yields kDataLoss naming the byte offset, never a crash or an
 /// oversized allocation (fuzz/net_frame_fuzz.cc holds the protocol to
 /// that).
+///
+/// Every payload has exactly one layout per version: no field is
+/// optional, reserved or skipped, and a bool is the byte 0 or 1, so an
+/// accepted payload re-encodes to the identical bytes. Any layout change
+/// bumps kVersion, and a peer of another version is refused at the
+/// header.
 enum class Op : uint8_t {
   kPing = 0,
   kSearch = 1,
@@ -50,7 +56,7 @@ enum class Op : uint8_t {
 };
 
 constexpr uint32_t kMagic = 0x4E58524F;  // "ORXN" read little-endian
-constexpr uint8_t kVersion = 1;
+constexpr uint8_t kVersion = 2;
 constexpr size_t kHeaderSize = 20;
 /// Per-frame payload bound. Generous for responses (a 10k-result search
 /// response is ~1 MB); a hostile length field beyond it is rejected
@@ -93,14 +99,10 @@ void AppendU64(std::string* out, uint64_t v);
 void AppendDouble(std::string* out, double v);
 void AppendString(std::string* out, const std::string& s);
 
-/// kSearch request.
-///
-/// `tier` is a trailing optional field: frames from pre-tier clients
-/// simply end after `deadline_seconds` and decode as tier 0 (auto).
-/// Encoders always write it. Values mirror core::SearchTier — 0 auto,
-/// 1 exact, 3 cached. 2 is reserved (it was the approximate tier) and,
-/// like anything above 3, is rejected at decode (kDataLoss), so
-/// handlers can cast without re-checking.
+/// kSearch request. `tier` is a core::SearchTier wire value a request
+/// may name: 0 auto or 1 exact. Anything else, kCached (2) included, is
+/// rejected at decode (kDataLoss), so handlers can cast without
+/// re-checking.
 struct SearchRequest {
   std::string query;
   /// 0 = the server snapshot's default k.
@@ -122,29 +124,19 @@ struct WireResult {
 };
 
 /// kSearch response.
-///
-/// The tier block (`tier_used`, `error_bound`, one reserved byte,
-/// `escalated`) is trailing and optional as a group: responses from
-/// pre-tier servers end after `total_seconds` and decode to the
-/// defaults below (exact, zero error — exactly what those servers
-/// computed). Encoders always write the block; a truncated block is
-/// kDataLoss, not defaults. The reserved byte was a `certified` flag
-/// that every answer set: encoders write 1, decoders skip it.
 struct SearchResponse {
   std::vector<WireResult> results;
   uint32_t iterations = 0;
-  bool from_rank_cache = false;
   bool cache_hit = false;
   bool coalesced = false;
   uint64_t snapshot_version = 0;
   double total_seconds = 0.0;
   /// Tier that actually produced the answer (core::SearchTier wire
-  /// value; a kCached request that fell back reports 1, exact).
+  /// value): 1 exact or 2 cached, the rank cache. Anything else is
+  /// rejected at decode.
   uint8_t tier_used = 1;
   /// Certified additive L-inf bound on the returned scores (0 = exact).
   double error_bound = 0.0;
-  /// Whether a kCached request fell back to the exact kernel.
-  bool escalated = false;
 };
 std::string EncodeSearchResponse(const SearchResponse& response);
 StatusOr<SearchResponse> DecodeSearchResponse(const std::string& payload);
@@ -201,12 +193,8 @@ StatusOr<ValidateResponse> DecodeValidateResponse(
 /// kMetrics response (the request has no payload): the service's
 /// consistent-cut ServeMetrics plus the front end's own counters and,
 /// when the server runs a write path, the mutation-side counters (all
-/// zero on a read-only server). The tier block of ServeMetrics (tier
-/// counters, miss reasons, escalations, per-tier percentiles) rides at
-/// the end of the payload as one trailing optional group — pre-tier
-/// payloads decode with that block zeroed. Three of its slots are
-/// reserved (they carried the removed approximate tier's count, p50 and
-/// p99): encoders write 0, decoders skip them.
+/// zero on a read-only server). The tier group of ServeMetrics (tier
+/// counters, miss reasons, per-tier percentiles) ends the payload.
 struct MetricsResponse {
   serve::ServeMetrics serve;
   uint64_t connections_accepted = 0;

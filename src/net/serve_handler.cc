@@ -32,14 +32,12 @@ SearchResponse ToWire(const serve::ServeResponse& response) {
     wire.results.push_back(std::move(row));
   }
   wire.iterations = static_cast<uint32_t>(result.iterations);
-  wire.from_rank_cache = result.from_cache;
   wire.cache_hit = response.cache_hit;
   wire.coalesced = response.coalesced;
   wire.snapshot_version = response.snapshot_version;
   wire.total_seconds = response.total_seconds;
   wire.tier_used = static_cast<uint8_t>(result.tier_used);
   wire.error_bound = result.error_bound;
-  wire.escalated = result.escalated;
   return wire;
 }
 
@@ -117,9 +115,8 @@ void ServeHandler::HandleSearch(Frame frame, ResponderPtr respond) {
   serve_request.query = std::move(*query);
   serve_request.k = request->k;
   serve_request.deadline_seconds = request->deadline_seconds;
-  // DecodeSearchRequest already rejected the reserved tier 2 and tiers
-  // above kCached, so the cast is total; auto (0) leaves the service's
-  // policy in charge.
+  // DecodeSearchRequest admits only kAuto and kExact, so the cast is
+  // total.
   serve_request.tier = static_cast<core::SearchTier>(request->tier);
   service_->SubmitAsync(
       std::move(serve_request),

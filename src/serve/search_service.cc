@@ -56,8 +56,7 @@ void AppendOptionsKey(std::string& key, const core::SearchOptions& options) {
   AppendDouble(key, options.bm25.b);
   AppendDouble(key, options.bm25.k3);
   // The resolved tier shapes the result (a kExact request must not be
-  // answered by a compressed cache hit, and a kCached fallback reports
-  // itself escalated), so it splits the cache keyspace.
+  // answered by a rank-cache hit), so it splits the cache keyspace.
   key += "T";
   key += std::to_string(static_cast<int>(options.tier));
   key += "|";
@@ -73,7 +72,6 @@ size_t ScoreBytes(const core::SearchResult& result) {
 std::shared_ptr<const core::SearchResult> WithoutScores(
     const core::SearchResult& result) {
   auto copy = std::make_shared<core::SearchResult>();
-  copy->from_cache = result.from_cache;
   copy->top = result.top;
   copy->iterations = result.iterations;
   copy->converged = result.converged;
@@ -81,7 +79,6 @@ std::shared_ptr<const core::SearchResult> WithoutScores(
   copy->seconds = result.seconds;
   copy->tier_used = result.tier_used;
   copy->error_bound = result.error_bound;
-  copy->escalated = result.escalated;
   copy->cache_miss_reason = result.cache_miss_reason;
   return copy;
 }
@@ -232,9 +229,7 @@ void SearchService::SubmitInternal(ServeRequest request,
       action = Action::kCoalesce;
     } else {
       ++pending_;
-      if (options_.single_flight) {
-        flights_.emplace(key, std::make_shared<Flight>());
-      }
+      flights_.emplace(key, std::make_shared<Flight>());
       action = Action::kLead;
     }
   }
@@ -332,18 +327,15 @@ void SearchService::FinishExecution(
       failed_.fetch_add(1, std::memory_order_relaxed);
     }
   } else {
-    // Tier accounting keys on what actually answered (tier_used), so an
-    // escalated kCached request lands under exact — escalations_ keeps
-    // the count of those separately.
+    // Tier accounting keys on what actually answered (tier_used): a
+    // kAuto request the cache declined lands under exact, and its miss
+    // reason is counted below.
     if (result->tier_used == core::SearchTier::kCached) {
       tier_cached_.fetch_add(1, std::memory_order_relaxed);
       tier_cached_latency_.Record(result->seconds);
     } else {
       tier_exact_.fetch_add(1, std::memory_order_relaxed);
       tier_exact_latency_.Record(result->seconds);
-    }
-    if (result->escalated) {
-      escalations_.fetch_add(1, std::memory_order_relaxed);
     }
     const auto reason = static_cast<size_t>(result->cache_miss_reason);
     if (reason != 0 && reason < miss_reasons_.size()) {
@@ -572,7 +564,6 @@ ServeMetrics SearchService::Snapshot() const {
   m.failed = failed_.load(std::memory_order_relaxed);
   m.tier_exact = tier_exact_.load(std::memory_order_relaxed);
   m.tier_cached = tier_cached_.load(std::memory_order_relaxed);
-  m.escalations = escalations_.load(std::memory_order_relaxed);
   using core::CacheMissReason;
   const auto miss = [&](CacheMissReason r) {
     return miss_reasons_[static_cast<size_t>(r)].load(

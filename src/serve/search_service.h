@@ -41,9 +41,10 @@ struct ServeRequest {
   /// counts against it. 0 = the service default; a negative value
   /// disables the deadline for this request.
   double deadline_seconds = 0.0;
-  /// Per-request tier hint: anything other than kAuto overrides the
-  /// effective options' tier (whether they came from `options` or the
-  /// snapshot defaults); kAuto defers to the options.
+  /// Per-request tier hint: kExact overrides the effective options' tier
+  /// (whether they came from `options` or the snapshot defaults); kAuto
+  /// defers to the options. kCached is not a request tier, and the
+  /// search fails with kInvalidArgument.
   core::SearchTier tier = core::SearchTier::kAuto;
 };
 
@@ -131,7 +132,7 @@ class SearchService {
     /// kUnavailable.
     size_t max_pending = 64;
     /// Completed-result LRU capacity in entries; 0 disables result
-    /// caching (single-flight coalescing is controlled separately). Every
+    /// caching (identical concurrent requests still coalesce). Every
     /// entry keeps its top list; only the most recently used keep their
     /// score vectors, within kScoreCacheBytes.
     size_t result_cache_entries = 512;
@@ -142,8 +143,6 @@ class SearchService {
     /// response reports the snapshot_version the result was computed
     /// against, and lookups prefer the newest version's entry.
     size_t result_cache_versions = 2;
-    /// Collapse identical concurrent queries into one execution.
-    bool single_flight = true;
     /// Deadline applied to requests that don't carry their own;
     /// 0 = no default deadline.
     double default_deadline_seconds = 0.0;
@@ -401,7 +400,6 @@ class SearchService {
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> tier_exact_{0};
   std::atomic<uint64_t> tier_cached_{0};
-  std::atomic<uint64_t> escalations_{0};
   /// Indexed by core::CacheMissReason (kNone unused but keeps the
   /// indexing direct).
   std::array<std::atomic<uint64_t>, 6> miss_reasons_{};

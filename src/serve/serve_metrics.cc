@@ -15,8 +15,7 @@ std::string ServeMetrics::ToString() const {
          " deadline_exceeded=" + std::to_string(deadline_exceeded) +
          " failed=" + std::to_string(failed) +
          " tiers=" + std::to_string(tier_exact) + "e/" +
-         std::to_string(tier_cached) + "c esc=" +
-         std::to_string(escalations) + " miss=" +
+         std::to_string(tier_cached) + "c miss=" +
          std::to_string(miss_no_cache) + "n/" +
          std::to_string(miss_rates_mismatch) + "r/" +
          std::to_string(miss_bm25_mismatch) + "b/" +

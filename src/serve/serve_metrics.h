@@ -41,14 +41,12 @@ struct ServeMetrics {
   uint64_t completed = 0;
 
   /// Executions answered per tier (core::SearchTier of the *result*, so
-  /// a kCached request that fell back counts under tier_exact).
-  /// Only successful executions count; serve-level result-cache hits are
-  /// `cache_hits` above, not tiers — tier_cached is the rank-cache tier.
+  /// a kAuto request the rank cache declined counts under tier_exact,
+  /// and its reason below). Only successful executions count;
+  /// serve-level result-cache hits are `cache_hits` above, not tiers —
+  /// tier_cached is the rank-cache tier.
   uint64_t tier_exact = 0;
   uint64_t tier_cached = 0;
-  /// Executions where kCached was requested but the cache could not
-  /// answer, so the exact kernel ran (SearchResult::escalated).
-  uint64_t escalations = 0;
 
   /// Rank-cache miss reasons of executions (core::CacheMissReason; kNone
   /// — a hit, or a tier that never consulted the cache — is not counted).

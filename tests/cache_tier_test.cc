@@ -139,10 +139,10 @@ TEST(CacheTierCertification, CertifiedTopKSetsEqualExactTopKSets) {
   EXPECT_GE(rejected_cases, 100u);
 }
 
-// Compressed-cache tier: a compressed hit that passes certification
-// returns the same top-k set as the dense cache; one that cannot certify
-// escalates with the kErrorBudget miss reason instead of serving an
-// unproven set.
+// Compressed-cache tier: a kAuto search whose compressed hit passes
+// certification returns the same top-k set as the dense cache; one that
+// cannot certify falls back to the exact kernel with the kErrorBudget
+// miss reason instead of serving an unproven set.
 TEST(CacheTierSearcher, CompressedCacheHitsCertifyAgainstDense) {
   const datasets::DblpDataset dblp =
       datasets::GenerateDblp(datasets::DblpGeneratorConfig::Tiny(400, 11));
@@ -173,20 +173,20 @@ TEST(CacheTierSearcher, CompressedCacheHitsCertifyAgainstDense) {
     dense_searcher.AttachRankCache(&dense);
     SearchOptions options;
     options.k = 5;
-    options.tier = SearchTier::kCached;
+    options.tier = SearchTier::kAuto;
     const auto dense_hit = dense_searcher.Search(query, rates, options);
     ASSERT_TRUE(dense_hit.ok());
-    ASSERT_TRUE(dense_hit->from_cache);
+    ASSERT_EQ(dense_hit->tier_used, SearchTier::kCached);
 
     Searcher searcher(dblp.dataset.data(), dblp.dataset.authority(), corpus);
     searcher.AttachRankCache(&compressed);
     const auto hit = searcher.Search(query, rates, options);
     ASSERT_TRUE(hit.ok());
-    if (!hit->from_cache) {
+    if (hit->tier_used != SearchTier::kCached) {
       // Certification rejected the compressed entry: the miss reason must
-      // say so, and the escalated answer is the exact kernel's.
+      // say so, and the answer is the exact kernel's.
+      EXPECT_EQ(hit->tier_used, SearchTier::kExact);
       EXPECT_EQ(hit->cache_miss_reason, CacheMissReason::kErrorBudget);
-      EXPECT_TRUE(hit->escalated);
       continue;
     }
     std::vector<uint64_t> got, want;
@@ -224,8 +224,7 @@ TEST(CacheTierConcurrent, MixedTiersAreRaceFree) {
 
   constexpr int kThreads = 8;
   constexpr int kQueriesPerThread = 12;
-  const SearchTier tiers[] = {SearchTier::kAuto, SearchTier::kExact,
-                              SearchTier::kCached};
+  const SearchTier tiers[] = {SearchTier::kAuto, SearchTier::kExact};
   std::atomic<int> failures{0};
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
@@ -238,7 +237,7 @@ TEST(CacheTierConcurrent, MixedTiersAreRaceFree) {
         const std::string& term = terms[(w + q) % terms.size()];
         SearchOptions options;
         options.k = 5;
-        options.tier = tiers[(w * kQueriesPerThread + q) % 3];
+        options.tier = tiers[(w * kQueriesPerThread + q) % 2];
         const auto result = searcher.Search(
             text::QueryVector(text::ParseQuery(term)), rates, options);
         if (!result.ok() || result->top.empty()) {

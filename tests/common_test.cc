@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
+#include "common/byte_io.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -212,6 +214,68 @@ TEST(TimerTest, MeasuresElapsedTime) {
   EXPECT_GE(t.ElapsedMillis(), t.ElapsedSeconds());  // ms >= s numerically
   t.Reset();
   EXPECT_LT(t.ElapsedSeconds(), 1.0);
+}
+
+// ----------------------------------------------------------------------
+// ByteReader
+// ----------------------------------------------------------------------
+
+std::string LittleEndianU32(uint32_t v) {
+  std::string out;
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+  return out;
+}
+
+// A truncated read consumes what is left, so its error names the end of
+// the input; a length over its limit names the length's own offset.
+TEST(ByteReaderTest, TruncationErrorsNameTheEndOfTheInput) {
+  {
+    const std::string bytes("\x01\x02", 2);
+    ByteReader reader(bytes);
+    uint32_t v = 0;
+    const Status status = reader.ReadU32(&v, "count");
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+    EXPECT_EQ(status.message(), "truncated count at byte 2");
+  }
+  {
+    const std::string bytes = LittleEndianU32(7) + "abc";
+    ByteReader reader(bytes);
+    uint32_t v = 0;
+    uint64_t id = 0;
+    ASSERT_TRUE(reader.ReadU32(&v, "count").ok());
+    EXPECT_EQ(reader.ReadU64(&id, "id").message(), "truncated id at byte 7");
+    EXPECT_EQ(reader.offset(), 7u);
+  }
+  {
+    const std::string bytes = LittleEndianU32(3) + "abc" + "\x01\x02";
+    ByteReader reader(bytes);
+    std::string name;
+    double d = 0.0;
+    ASSERT_TRUE(reader.ReadString(&name, 16, "name").ok());
+    EXPECT_EQ(reader.ReadDouble(&d, "dbl").message(),
+              "truncated dbl at byte 9");
+  }
+  {
+    const std::string bytes = LittleEndianU32(70000) + "abc";
+    ByteReader reader(bytes);
+    std::string name;
+    EXPECT_EQ(reader.ReadString(&name, 1u << 16, "name").message(),
+              "implausible name length 70000 at byte 0");
+  }
+}
+
+TEST(ByteReaderTest, StringLengthPastTheEndFailsWithoutAllocating) {
+  // Within the field limit but past the input: the reader checks the
+  // bytes left before it sizes the destination, which stays untouched.
+  const std::string bytes = LittleEndianU32(0xFFFFFFFFu) + "abc";
+  ByteReader reader(bytes);
+  std::string name = "keep";
+  const size_t capacity = name.capacity();
+  const Status status = reader.ReadString(&name, ~uint64_t{0}, "name");
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(status.message(), "truncated name at byte 7");
+  EXPECT_EQ(name, "keep");
+  EXPECT_EQ(name.capacity(), capacity);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 
 #include "common/timer.h"
 #include "core/base_set.h"
+#include "core/rank_cache.h"
 #include "core/searcher.h"
 #include "datasets/dblp_generator.h"
 #include "explain/explainer.h"
@@ -71,10 +72,18 @@ TEST(FrameCodecTest, HeaderRejectsBadMagicVersionOpAndOversize) {
     EXPECT_EQ(header.status().code(), StatusCode::kDataLoss);
     EXPECT_NE(header.status().ToString().find("magic"), std::string::npos);
   }
-  {
+  for (const int version : {1, 99}) {
+    // Version 1 is the previous layout, refused like any other: one
+    // layout per version, so a peer is understood whole or not at all.
     std::string bad = good;
-    bad[4] = 99;  // version
-    EXPECT_FALSE(DecodeHeader(bad.data()).ok());
+    bad[4] = static_cast<char>(version);
+    auto header = DecodeHeader(bad.data());
+    ASSERT_FALSE(header.ok());
+    EXPECT_EQ(header.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(header.status().message().find("unsupported frame version " +
+                                             std::to_string(version)),
+              std::string::npos)
+        << header.status();
   }
   {
     std::string bad = good;
@@ -116,7 +125,6 @@ TEST(FrameCodecTest, SearchResponseRoundTrip) {
     response.results.push_back(std::move(r));
   }
   response.iterations = 12;
-  response.from_rank_cache = true;
   response.cache_hit = true;
   response.coalesced = false;
   response.snapshot_version = 7;
@@ -131,7 +139,6 @@ TEST(FrameCodecTest, SearchResponseRoundTrip) {
               response.results[i].display_label);
   }
   EXPECT_EQ(decoded->iterations, 12u);
-  EXPECT_TRUE(decoded->from_rank_cache);
   EXPECT_TRUE(decoded->cache_hit);
   EXPECT_EQ(decoded->snapshot_version, 7u);
   EXPECT_EQ(decoded->total_seconds, 0.0625);
@@ -244,14 +251,6 @@ TEST(FrameCodecTest, RemainingPayloadCodecsRoundTrip) {
     EXPECT_EQ(decoded->batch.mutations[1].from, 7u);
     EXPECT_EQ(decoded->batch.mutations[1].to, 3u);
     EXPECT_EQ(decoded->batch.mutations[4].node, 9u);
-
-    // Truncation hardening, same contract as every other codec.
-    const std::string payload = EncodeMutateRequest(request);
-    for (size_t len = 0; len < payload.size(); ++len) {
-      auto prefix = DecodeMutateRequest(payload.substr(0, len));
-      ASSERT_FALSE(prefix.ok()) << "prefix length " << len;
-      EXPECT_EQ(prefix.status().code(), StatusCode::kDataLoss);
-    }
   }
   {
     MutateResponse response{77, 4};
@@ -262,169 +261,155 @@ TEST(FrameCodecTest, RemainingPayloadCodecsRoundTrip) {
   }
 }
 
-TEST(FrameCodecTest, DecodersRejectEveryTruncation) {
-  // Every strict prefix of a valid payload must decode to kDataLoss —
-  // never a crash, never silent acceptance — except the one prefix that
-  // ends exactly at the pre-tier legacy boundary, which by design
-  // decodes as a frame from an older peer with the tier block defaulted.
-  SearchResponse response;
-  WireResult r;
-  r.node = 5;
-  r.score = 0.5;
-  r.type_label = "paper";
-  r.display_label = "A Title";
-  response.results.push_back(r);
-  const std::string search_payload = EncodeSearchResponse(response);
-  // Trailing tier block: tier_used u8 + error_bound f64 + reserved u8
-  // + escalated u8.
-  const size_t search_legacy = search_payload.size() - 11;
-  for (size_t len = 0; len < search_payload.size(); ++len) {
-    auto decoded = DecodeSearchResponse(search_payload.substr(0, len));
-    if (len == search_legacy) {
-      ASSERT_TRUE(decoded.ok());
-      EXPECT_EQ(decoded->tier_used, 1);  // defaults: exact
-      EXPECT_EQ(decoded->error_bound, 0.0);
-      EXPECT_FALSE(decoded->escalated);
-      continue;
-    }
-    ASSERT_FALSE(decoded.ok()) << "prefix length " << len;
-    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
-  }
-
-  const std::string metrics_payload =
-      EncodeMetricsResponse(MetricsResponse{});
-  // Trailing tier block: 9 u64 counters + 6 doubles (one counter and two
-  // doubles of them reserved).
-  const size_t metrics_legacy = metrics_payload.size() - (9 + 6) * 8;
-  for (size_t len = 0; len < metrics_payload.size(); ++len) {
-    auto decoded = DecodeMetricsResponse(metrics_payload.substr(0, len));
-    if (len == metrics_legacy) {
-      ASSERT_TRUE(decoded.ok());
-      continue;
-    }
-    ASSERT_FALSE(decoded.ok()) << "prefix length " << len;
+// Every strict prefix of a valid payload must decode to kDataLoss —
+// never a crash, never silent acceptance. No prefix is a complete older
+// layout: a payload has one layout per version.
+template <typename Decode>
+void ExpectEveryPrefixIsDataLoss(const std::string& payload, Decode decode,
+                                 const char* codec) {
+  for (size_t len = 0; len < payload.size(); ++len) {
+    auto decoded = decode(payload.substr(0, len));
+    ASSERT_FALSE(decoded.ok()) << codec << " prefix length " << len;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss)
+        << codec << " prefix length " << len;
   }
 }
 
-TEST(FrameCodecTest, SearchTierRoundTripsAndLegacyRequestDefaultsToAuto) {
+TEST(FrameCodecTest, DecodersRejectEveryTruncation) {
+  SearchResponse search;
+  search.results.push_back({5, 0.5, "paper", "A Title"});
+  search.tier_used = 2;
+  search.error_bound = 1e-7;
+  MetricsResponse metrics;
+  metrics.serve.tier_cached = 3;
+  MutateRequest mutate;
+  mutate.batch.mutations.push_back(
+      mutate::Mutation::AddNode(2, {{"title", "wire paper"}}));
+  mutate.batch.mutations.push_back(mutate::Mutation::RemoveNode(9));
+
+  ExpectEveryPrefixIsDataLoss(
+      EncodeSearchRequest({"data cube", 10, 0.5, 1}), DecodeSearchRequest,
+      "search request");
+  ExpectEveryPrefixIsDataLoss(EncodeSearchResponse(search),
+                              DecodeSearchResponse, "search response");
+  ExpectEveryPrefixIsDataLoss(EncodeExplainRequest({"data cube", 3}),
+                              DecodeExplainRequest, "explain request");
+  ExpectEveryPrefixIsDataLoss(
+      EncodeExplainResponse({"subgraph text", 9, 0.5, 0.25}),
+      DecodeExplainResponse, "explain response");
+  ExpectEveryPrefixIsDataLoss(EncodeReformulateRequest({"data", {1, 4}}),
+                              DecodeReformulateRequest,
+                              "reformulate request");
+  ExpectEveryPrefixIsDataLoss(
+      EncodeReformulateResponse({"data mining:0.5", {{"mining", 0.5}}, 0.1}),
+      DecodeReformulateResponse, "reformulate response");
+  ExpectEveryPrefixIsDataLoss(EncodeValidateResponse({true, "snapshot OK"}),
+                              DecodeValidateResponse, "validate response");
+  ExpectEveryPrefixIsDataLoss(EncodeMetricsResponse(metrics),
+                              DecodeMetricsResponse, "metrics response");
+  ExpectEveryPrefixIsDataLoss(EncodeMutateRequest(mutate),
+                              DecodeMutateRequest, "mutate request");
+  ExpectEveryPrefixIsDataLoss(EncodeMutateResponse({77, 4}),
+                              DecodeMutateResponse, "mutate response");
+  ExpectEveryPrefixIsDataLoss(
+      EncodeErrorResponse(UnavailableError("queue full")),
+      DecodeErrorResponse, "error response");
+}
+
+TEST(FrameCodecTest, SearchRequestNamesOnlyAutoOrExact) {
   SearchRequest request;
   request.query = "mining";
   request.k = 10;
   request.deadline_seconds = 0.25;
-  request.tier = 3;  // cached
-  auto decoded = DecodeSearchRequest(EncodeSearchRequest(request));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->tier, 3);
+  for (const int tier : {0, 1}) {
+    request.tier = static_cast<uint8_t>(tier);
+    const std::string payload = EncodeSearchRequest(request);
+    // query (u32 length + 6 bytes), k, deadline, tier.
+    EXPECT_EQ(payload.size(), 4u + 6 + 4 + 8 + 1);
+    auto decoded = DecodeSearchRequest(payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(decoded->tier, tier);
+  }
 
-  // A pre-tier client's frame ends after the deadline field.
+  // 2 is kCached, which only reports an answer; above it is no tier.
   const std::string full = EncodeSearchRequest(request);
-  auto legacy = DecodeSearchRequest(full.substr(0, full.size() - 1));
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy->tier, 0);  // auto
-
-  // Tier 2 (the removed approximate tier) is reserved: refused with a
-  // message that names it, so an older client learns why.
-  std::string reserved = full;
-  reserved.back() = 2;
-  auto refused = DecodeSearchRequest(reserved);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(refused.status().message().find("approximate"),
-            std::string::npos)
-      << refused.status();
-
-  // Tier values above kCached are malformed, not future-proof.
-  for (const int value : {4, 9}) {
+  for (const int value : {2, 3, 4, 9}) {
     std::string bad = full;
     bad.back() = static_cast<char>(value);
     auto rejected = DecodeSearchRequest(bad);
     ASSERT_FALSE(rejected.ok()) << "tier " << value;
     EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(rejected.status().message().find("search tier " +
+                                               std::to_string(value)),
+              std::string::npos)
+        << rejected.status();
   }
 }
 
-TEST(FrameCodecTest, SearchResponseTierBlockRoundTrips) {
+TEST(FrameCodecTest, SearchResponseTierFieldsRoundTrip) {
   SearchResponse response;
   response.iterations = 4;
-  response.tier_used = 3;  // a compressed cache hit, with a live bound
+  response.tier_used = 2;  // a compressed cache hit, with a live bound
   response.error_bound = 1.5e-7;
-  response.escalated = false;
   const std::string payload = EncodeSearchResponse(response);
+  // count, iterations, cache_hit, coalesced, snapshot_version,
+  // total_seconds, tier_used, error_bound.
+  EXPECT_EQ(payload.size(), 4u + 4 + 1 + 1 + 8 + 8 + 1 + 8);
   auto decoded = DecodeSearchResponse(payload);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->tier_used, 3);
+  EXPECT_EQ(decoded->tier_used, 2);
   EXPECT_EQ(decoded->error_bound, 1.5e-7);
-  EXPECT_FALSE(decoded->escalated);
 
-  // The reserved byte before `escalated` (once `certified`) is always
-  // written as 1, and skipped on decode whatever a peer put there.
-  ASSERT_GE(payload.size(), 2u);
-  EXPECT_EQ(payload[payload.size() - 2], 1);
-  std::string peer = payload;
-  peer[peer.size() - 2] = 0;
-  auto from_peer = DecodeSearchResponse(peer);
-  ASSERT_TRUE(from_peer.ok());
-  EXPECT_EQ(EncodeSearchResponse(*from_peer), payload);
+  // An answer reports exact (1) or cached (2), never auto or above.
+  const size_t tier_offset = payload.size() - 9;
+  for (const int value : {0, 3, 0xFF}) {
+    std::string bad = payload;
+    bad[tier_offset] = static_cast<char>(value);
+    auto rejected = DecodeSearchResponse(bad);
+    ASSERT_FALSE(rejected.ok()) << "tier_used " << value;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss);
+  }
 
   MetricsResponse metrics;
   metrics.serve.tier_exact = 5;
   metrics.serve.tier_cached = 7;
-  metrics.serve.escalations = 2;
   metrics.serve.miss_error_budget = 3;
   metrics.serve.tier_exact_p99 = 0.02;
   metrics.serve.tier_cached_p50 = 0.004;
   const std::string metrics_payload = EncodeMetricsResponse(metrics);
+  // 8 request counters, 6 latency doubles, 15 front-end and write-path
+  // counters, then the tier group: 7 counters and 4 doubles.
+  EXPECT_EQ(metrics_payload.size(), (8u + 6 + 15 + 7 + 4) * 8);
   auto metrics_decoded = DecodeMetricsResponse(metrics_payload);
   ASSERT_TRUE(metrics_decoded.ok());
   EXPECT_EQ(metrics_decoded->serve.tier_exact, 5u);
   EXPECT_EQ(metrics_decoded->serve.tier_cached, 7u);
-  EXPECT_EQ(metrics_decoded->serve.escalations, 2u);
   EXPECT_EQ(metrics_decoded->serve.miss_error_budget, 3u);
   EXPECT_EQ(metrics_decoded->serve.tier_exact_p99, 0.02);
   EXPECT_EQ(metrics_decoded->serve.tier_cached_p50, 0.004);
-
-  // The tier group's reserved slots — the second u64 and the third and
-  // fourth doubles — are written as zero and skipped on decode, so an
-  // older server's nonzero approximate-tier figures still parse.
-  const size_t group = metrics_payload.size() - (9 + 6) * 8;
-  const size_t reserved[] = {group + 8, group + 9 * 8 + 2 * 8,
-                             group + 9 * 8 + 3 * 8};
-  std::string older = metrics_payload;
-  for (const size_t offset : reserved) {
-    EXPECT_EQ(metrics_payload.substr(offset, 8), std::string(8, '\0'))
-        << "offset " << offset;
-    older[offset] = 0x11;
-  }
-  auto older_decoded = DecodeMetricsResponse(older);
-  ASSERT_TRUE(older_decoded.ok());
-  EXPECT_EQ(EncodeMetricsResponse(*older_decoded), metrics_payload);
 }
 
-// The deleted micro-batch scheduler's four metrics (batches, batched
-// queries, max and mean occupancy) keep their slots after the eight
-// request counters: written as zero, and ignored on decode whatever an
-// older server filled them with.
-TEST(FrameCodecTest, MetricsReservedBatchSlotsAreZeroAndIgnored) {
-  MetricsResponse metrics;
-  metrics.serve.submitted = 9;
-  metrics.serve.completed = 8;
-  metrics.serve.uptime_seconds = 2.5;
-  metrics.serve.qps = 3.2;
-  const std::string payload = EncodeMetricsResponse(metrics);
-  const size_t first_slot = 8 * 8;
-  std::string older = payload;
-  for (size_t slot = 0; slot < 4; ++slot) {
-    const size_t offset = first_slot + slot * 8;
-    EXPECT_EQ(payload.substr(offset, 8), std::string(8, '\0'))
-        << "slot " << slot;
-    older[offset] = 0x2A;
-  }
-  auto decoded = DecodeMetricsResponse(older);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->serve.completed, 8u);
-  EXPECT_EQ(decoded->serve.uptime_seconds, 2.5);
-  EXPECT_EQ(decoded->serve.qps, 3.2);
-  EXPECT_EQ(EncodeMetricsResponse(*decoded), payload);
+// Bools are the byte 0 or 1, so an accepted payload re-encodes to the
+// same bytes; any other value is refused with the field's name.
+TEST(FrameCodecTest, SearchResponseCacheHitByteTwoIsRefused) {
+  SearchResponse response;
+  response.cache_hit = true;
+  const std::string payload = EncodeSearchResponse(response);
+  // count (no results), iterations, then the cache_hit byte.
+  const size_t cache_hit_offset = 4 + 4;
+  ASSERT_EQ(payload[cache_hit_offset], 1);
+  std::string bad = payload;
+  bad[cache_hit_offset] = 2;
+  auto rejected = DecodeSearchResponse(bad);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(rejected.status().message().find("cache_hit"), std::string::npos)
+      << rejected.status();
+
+  std::string validate = EncodeValidateResponse({true, "ok"});
+  validate[0] = 2;
+  EXPECT_EQ(DecodeValidateResponse(validate).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(FrameCodecTest, DecodersRejectTrailingGarbage) {
@@ -546,6 +531,40 @@ TEST(NetServerTest, MalformedHeaderAnsweredWithErrorFrameThenClose) {
   char byte;
   Status eof = ReadAll(*fd, &byte, 1, "post-error");
   EXPECT_FALSE(eof.ok());
+  close(*fd);
+  server.Shutdown();
+  EXPECT_EQ(server.stats().decode_errors, 1u);
+  EXPECT_EQ(server.stats().error_frames_sent, 1u);
+}
+
+// A peer speaking the previous protocol version is refused once, at its
+// first header: one kError/kDataLoss frame naming version 1, then close.
+TEST(NetServerTest, Version1HeaderAnsweredWithOneErrorFrameThenClose) {
+  Server server(TestServerOptions(), EchoHandler());
+  ASSERT_TRUE(server.Start().ok());
+  auto fd = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(fd.ok());
+
+  std::string frame = EncodeFrame(Op::kPing, 7, "");
+  frame[4] = 1;  // version
+  ASSERT_TRUE(WriteAll(*fd, frame.data(), frame.size()).ok());
+
+  char header_bytes[kHeaderSize];
+  ASSERT_TRUE(ReadAll(*fd, header_bytes, kHeaderSize, "header").ok());
+  auto header = DecodeHeader(header_bytes);
+  ASSERT_TRUE(header.ok());
+  EXPECT_EQ(header->op, Op::kError);
+  std::string payload(header->payload_size, '\0');
+  ASSERT_TRUE(ReadAll(*fd, payload.data(), payload.size(), "payload").ok());
+  auto error = DecodeErrorResponse(payload);
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(error->code, StatusCode::kDataLoss);
+  EXPECT_NE(error->message.find("unsupported frame version 1"),
+            std::string::npos)
+      << error->message;
+
+  char byte;
+  EXPECT_FALSE(ReadAll(*fd, &byte, 1, "post-error").ok());
   close(*fd);
   server.Shutdown();
   EXPECT_EQ(server.stats().decode_errors, 1u);
@@ -777,14 +796,13 @@ TEST(NetFullStackTest, SearchExplainReformulateValidateMetrics) {
 }
 
 TEST(NetFullStackTest, AdmissionOverflowArrivesAsUnavailableErrorFrame) {
-  // max_pending = 0 rejects every execution at admission; with the cache
-  // and single flight off, every search must come back as a
+  // max_pending = 0 rejects every execution at admission, so no flight
+  // ever forms; with the cache off, every search must come back as a
   // kError/kUnavailable frame — never silence, never a dropped
   // connection.
   serve::SearchService::Options options;
   options.max_pending = 0;
   options.result_cache_entries = 0;
-  options.single_flight = false;
   FullStack stack(options);
   ASSERT_TRUE(stack.server->Start().ok());
   BlockingClient client;
@@ -823,6 +841,38 @@ TEST(NetFullStackTest, HugeKReturnsTheFullRankedList) {
   EXPECT_TRUE(client.Ping().ok());
   stack.server->Shutdown();
   EXPECT_EQ(stack.server->stats().unanswered_frames, 0u);
+}
+
+// kCached folded into kAuto, end to end: a kAuto search the rank cache
+// answers arrives as tier_used 2, a kExact one runs the power iteration,
+// and the metrics count one execution of each tier.
+TEST(NetFullStackTest, RankCacheAnswerArrivesAsTierCached) {
+  FullStack stack;
+  const std::string query = HeadTerm(*stack.snapshot->corpus);
+  auto with_cache = std::make_shared<serve::ServeSnapshot>(*stack.snapshot);
+  with_cache->rank_cache = std::make_shared<const core::RankCache>(
+      core::RankCache::BuildForTerms(*with_cache->authority,
+                                     *with_cache->corpus, with_cache->rates,
+                                     {query}, core::RankCache::Options{}));
+  stack.service->SwapSnapshot(with_cache);
+  ASSERT_TRUE(stack.server->Start().ok());
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()).ok());
+
+  auto cache_answer = client.Search({query, 10, 0.0});
+  ASSERT_TRUE(cache_answer.ok()) << cache_answer.status();
+  EXPECT_EQ(cache_answer->tier_used, 2);
+  EXPECT_EQ(cache_answer->iterations, 0u);
+  auto exact = client.Search({query, 10, 0.0, 1});
+  ASSERT_TRUE(exact.ok()) << exact.status();
+  EXPECT_EQ(exact->tier_used, 1);
+  EXPECT_GT(exact->iterations, 0u);
+
+  auto metrics = client.Metrics();
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_EQ(metrics->serve.tier_cached, 1u);
+  EXPECT_EQ(metrics->serve.tier_exact, 1u);
+  stack.server->Shutdown();
 }
 
 TEST(NetFullStackTest, ConcurrentClientsAllAnswered) {

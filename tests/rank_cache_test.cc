@@ -218,7 +218,7 @@ TEST_F(RankCacheTest, SearcherAnswersFromAttachedCache) {
   // Fully-cached query with matching rates: served from the cache.
   auto cached = searcher.Search(query, rates_, search_options);
   ASSERT_TRUE(cached.ok());
-  EXPECT_TRUE(cached->from_cache);
+  EXPECT_EQ(cached->tier_used, SearchTier::kCached);
   EXPECT_EQ(cached->iterations, 0);
   auto direct = DirectScores(query);
   for (size_t v = 0; v < direct.size(); ++v) {
@@ -230,7 +230,7 @@ TEST_F(RankCacheTest, SearcherAnswersFromAttachedCache) {
   text::QueryVector partial(text::ParseQuery("data systems"));
   auto fallback = searcher.Search(partial, rates_, search_options);
   ASSERT_TRUE(fallback.ok());
-  EXPECT_FALSE(fallback->from_cache);
+  EXPECT_EQ(fallback->tier_used, SearchTier::kExact);
   EXPECT_GT(fallback->iterations, 0);
 
   // Changed rates (structure reformulation) invalidate the cache.
@@ -242,13 +242,13 @@ TEST_F(RankCacheTest, SearcherAnswersFromAttachedCache) {
   searcher.AttachRankCache(&cache);
   auto stale = searcher.Search(query, other, search_options);
   ASSERT_TRUE(stale.ok());
-  EXPECT_FALSE(stale->from_cache);
+  EXPECT_EQ(stale->tier_used, SearchTier::kExact);
 
   // Detaching restores plain behavior.
   searcher.AttachRankCache(nullptr);
   auto detached = searcher.Search(query, rates_, search_options);
   ASSERT_TRUE(detached.ok());
-  EXPECT_FALSE(detached->from_cache);
+  EXPECT_EQ(detached->tier_used, SearchTier::kExact);
 }
 
 TEST_F(RankCacheTest, FingerprintAndBm25SurviveTheContainer) {
@@ -343,7 +343,7 @@ TEST_F(RankCacheTest, SearcherFallsBackOnZeroCoefficientTerm) {
   ASSERT_TRUE(result.ok());
   // The cache cannot cover the zero-weight term; the searcher must run
   // the exact power iteration instead of serving the partial combination.
-  EXPECT_FALSE(result->from_cache);
+  EXPECT_EQ(result->tier_used, SearchTier::kExact);
   EXPECT_GT(result->iterations, 0);
 }
 
@@ -365,7 +365,7 @@ TEST_F(RankCacheTest, SearcherRejectsCacheWithMismatchedBm25) {
   search_options.bm25.k1 = options_.bm25.k1 + 0.6;  // different Okapi k1
   auto mismatched = searcher.Search(query, rates_, search_options);
   ASSERT_TRUE(mismatched.ok());
-  EXPECT_FALSE(mismatched->from_cache);
+  EXPECT_EQ(mismatched->tier_used, SearchTier::kExact);
   EXPECT_GT(mismatched->iterations, 0);
 
   // Restoring the build-time parameters restores the cache hit.
@@ -373,7 +373,7 @@ TEST_F(RankCacheTest, SearcherRejectsCacheWithMismatchedBm25) {
   searcher.ResetSession();
   auto matched = searcher.Search(query, rates_, search_options);
   ASSERT_TRUE(matched.ok());
-  EXPECT_TRUE(matched->from_cache);
+  EXPECT_EQ(matched->tier_used, SearchTier::kCached);
 }
 
 TEST_F(RankCacheTest, MatchesBm25ComparesAllParameters) {

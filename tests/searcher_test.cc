@@ -120,6 +120,15 @@ TEST_F(SearcherFigure1Test, OutOfRangeOptionsAreInvalid) {
   options.objectrank.max_iterations = -1;
   expect_invalid(options);
 
+  // kCached only reports what answered; a request names kAuto or kExact.
+  options = SearchOptions();
+  options.tier = SearchTier::kCached;
+  expect_invalid(options);
+  options.mode = RankMode::kObjectRankBaseline;
+  expect_invalid(options);
+  options.tier = SearchTier::kExact;
+  EXPECT_TRUE(searcher_.Search(q, rates_, options).ok());
+
   // The boundary values the experiments actually use stay accepted.
   options = SearchOptions();
   options.objectrank.damping = 0.0;

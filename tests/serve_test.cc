@@ -284,7 +284,6 @@ TEST(SearchServiceTest, CacheOffExecutesEveryRequest) {
   const std::string term = TopTerms(*snap->corpus, 1).at(0);
   SearchService::Options options;
   options.result_cache_entries = 0;
-  options.single_flight = false;
   SearchService service(snap, options);
 
   for (int i = 0; i < 3; ++i) {
@@ -843,7 +842,7 @@ TEST(SearchServiceTest, OversizedKRequestsShareOneCacheKey) {
 // push tier when pending/max_pending reached 0.75, moving work onto a
 // path measured ~10x slower than exact exactly when the service was
 // loaded. Load must never change the tier: a kAuto request submitted at
-// 3/4 admission load runs the exact path, unescalated.
+// 3/4 admission load runs the exact path.
 TEST(SearchServiceTierPolicyTest, LoadNeverMovesAutoOffTheExactPath) {
   auto snap = MakeDblpSnapshot(200, 21);
   const std::vector<std::string> terms = TopTerms(*snap->corpus, 4);
@@ -869,11 +868,9 @@ TEST(SearchServiceTierPolicyTest, LoadNeverMovesAutoOffTheExactPath) {
   auto response = loaded.get();
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->result->tier_used, core::SearchTier::kExact);
-  EXPECT_FALSE(response->result->escalated);
   EXPECT_EQ(response->result->scores, DirectSearch(*snap, terms[3]).scores);
   const ServeMetrics m = service.Snapshot();
   EXPECT_EQ(m.tier_exact, 4u);
-  EXPECT_EQ(m.escalations, 0u);
 }
 
 TEST(SearchServiceTest, DestructorDrainsInFlightRequests) {

@@ -41,10 +41,15 @@ grep -q "write path on" "$SERVE_LOG" || {
 echo "=== orx_serve up on port $PORT (write path on) ==="
 
 echo "=== mixed load: $CONNECTIONS connections, 50/50 read/write, ${LOAD_SECONDS}s ==="
+# Captured, then printed: `tee /dev/stderr` reopens a stderr that is a
+# regular file with truncation, erasing the log printed before the load.
+LOAD_STATUS=0
 LOAD_OUT="$("$BUILD_DIR/tools/orx_client" --mode load --port "$PORT" \
   --scale "$SCALE" --connections "$CONNECTIONS" --threads 4 \
   --duration "$LOAD_SECONDS" --write-fraction 0.5 \
-  --json "$BENCH_JSON" | tee /dev/stderr)"
+  --json "$BENCH_JSON")" || LOAD_STATUS=$?
+printf '%s\n' "$LOAD_OUT" >&2
+[ "$LOAD_STATUS" -eq 0 ] || exit "$LOAD_STATUS"
 
 # The load client already fails on dropped frames and on a write path
 # that never publishes. Additionally require a sustained publication

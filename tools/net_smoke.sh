@@ -62,9 +62,14 @@ if [ "$E2E_FAILED" -ne 0 ]; then
 fi
 
 echo "=== load: $CONNECTIONS connections, ${LOAD_SECONDS}s burst ==="
+# Captured, then printed: `tee /dev/stderr` reopens a stderr that is a
+# regular file with truncation, erasing the log printed before the burst.
+LOAD_STATUS=0
 LOAD_OUT="$("$BUILD_DIR/tools/orx_client" --mode load --port "$PORT" \
   --scale "$SCALE" --connections "$CONNECTIONS" --threads 4 \
-  --duration "$LOAD_SECONDS" --churn 0.02 --json /dev/null | tee /dev/stderr)"
+  --duration "$LOAD_SECONDS" --churn 0.02 --json /dev/null)" || LOAD_STATUS=$?
+printf '%s\n' "$LOAD_OUT" >&2
+[ "$LOAD_STATUS" -eq 0 ] || exit "$LOAD_STATUS"
 
 # The load client already fails on dropped frames; additionally require
 # that the healthy burst produced no error frames at all (nothing here

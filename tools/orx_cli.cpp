@@ -153,7 +153,9 @@ void DoQuery(CliState& state, const std::string& args) {
   std::printf("base set %zu, %d iterations, %.1f ms%s\n",
               result->base_set_size, result->iterations,
               result->seconds * 1e3,
-              result->from_cache ? " (rank cache)" : "");
+              result->tier_used == core::SearchTier::kCached
+                  ? " (rank cache)"
+                  : "");
   state.last_top = result->top;
   state.last_scores = std::move(result->scores);
   state.have_result = true;

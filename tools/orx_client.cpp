@@ -97,7 +97,7 @@ struct ClientFlags {
   uint32_t k = 10;
   uint64_t seed = 1;
   // Requested execution tier on every kSearch frame (wire value of
-  // core::SearchTier): 0 auto, 1 exact, 3 cached.
+  // core::SearchTier): 0 auto, 1 exact.
   uint8_t tier = 0;
   std::string json_path = "BENCH_net_serve.json";
 };
@@ -112,7 +112,7 @@ int Usage(const char* argv0) {
       "          and the query mix come from the mapped corpus)\n"
       "          --score-tol T (e2e relative score tolerance; default 0\n"
       "          generated, 1e-12 with --dataset)\n"
-      "          --tier auto|exact|cached (execution tier hint on\n"
+      "          --tier auto|exact (execution tier hint on\n"
       "          every search frame; default auto)\n"
       "  load:   --threads N --connections N --duration SEC --pipeline N\n"
       "          --rate RPS (0 = closed loop) --churn P --zipf-terms N\n"
@@ -150,8 +150,6 @@ bool ParseFlags(int argc, char** argv, ClientFlags* flags) {
         flags->tier = 0;
       } else if (tier == "exact") {
         flags->tier = 1;
-      } else if (tier == "cached") {
-        flags->tier = 3;
       } else {
         std::fprintf(stderr, "unknown tier '%s'\n", v);
         return false;
@@ -222,16 +220,11 @@ void PrintSearchResponse(const net::SearchResponse& response) {
                   r.type_label, r.display_label});
   }
   std::printf("%s", table.ToString().c_str());
-  static const char* kTierNames[] = {"auto", "exact", "approx", "cached"};
-  const char* tier = response.tier_used <= 3
-                         ? kTierNames[response.tier_used]
-                         : "?";
-  std::printf("(%u iterations%s%s%s, tier %s%s, %.2f ms",
-              response.iterations,
-              response.from_rank_cache ? ", rank-cache warm start" : "",
+  // The decoder admits only 1 (exact) and 2 (cached, the rank cache).
+  const char* tier = response.tier_used == 2 ? "cached" : "exact";
+  std::printf("(%u iterations%s%s, tier %s, %.2f ms", response.iterations,
               response.cache_hit ? ", result-cache hit" : "",
               response.coalesced ? ", coalesced" : "", tier,
-              response.escalated ? " escalated" : "",
               response.total_seconds * 1e3);
   if (response.error_bound > 0.0) {
     std::printf(", bound %.3g", response.error_bound);
@@ -536,8 +529,8 @@ int RunE2e(const ClientFlags& flags) {
   }
 
   // Tier hints: an exact-tier request reports tier 1 with a zero bound;
-  // the reserved tier 2 (the removed approximate tier) is refused at
-  // decode with a kError frame naming it.
+  // tier 2 (cached) only reports an answer, so a request naming it is
+  // refused at decode with a kError frame.
   {
     const std::string& q = queries.front();
     net::SearchRequest exact_request;
@@ -549,14 +542,14 @@ int RunE2e(const ClientFlags& flags) {
                   exact->error_bound == 0.0,
               "tier=exact -> tier_used 1, zero error bound");
 
-    net::SearchRequest reserved_request = exact_request;
-    reserved_request.tier = 2;
-    auto reserved = client.Search(reserved_request);
-    E2E_CHECK(!reserved.ok() &&
-                  reserved.status().code() == StatusCode::kDataLoss &&
-                  reserved.status().message().find("approximate") !=
+    net::SearchRequest cached_request = exact_request;
+    cached_request.tier = 2;
+    auto cached = client.Search(cached_request);
+    E2E_CHECK(!cached.ok() &&
+                  cached.status().code() == StatusCode::kDataLoss &&
+                  cached.status().message().find("search tier 2") !=
                       std::string::npos,
-              "tier 2 (reserved) -> kDataLoss error frame");
+              "tier 2 (cached, answer-only) -> kDataLoss error frame");
   }
   {
     auto validate = client.Validate();

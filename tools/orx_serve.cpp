@@ -284,11 +284,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(metrics.executed),
       metrics.latency_p50 * 1e3, metrics.latency_p99 * 1e3);
   std::printf(
-      "orx_serve: tiers exact=%llu cached=%llu escalations=%llu | "
+      "orx_serve: tiers exact=%llu cached=%llu | "
       "exact p50=%.2fms cached p50=%.2fms\n",
       static_cast<unsigned long long>(metrics.tier_exact),
       static_cast<unsigned long long>(metrics.tier_cached),
-      static_cast<unsigned long long>(metrics.escalations),
       metrics.tier_exact_p50 * 1e3, metrics.tier_cached_p50 * 1e3);
   return 0;
 }
