@@ -78,8 +78,12 @@ bool EndsWith(std::string_view text, std::string_view suffix) {
 
 std::string FormatDouble(double value, int digits) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
-  return std::string(buf);
+  const int n = std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
+  if (n < static_cast<int>(sizeof(buf))) return std::string(buf, n);
+  // |value| >= ~1e54: all 300-odd digits, not the first 63.
+  std::string out(static_cast<size_t>(n), '\0');
+  std::snprintf(out.data(), out.size() + 1, "%.*f", digits, value);
+  return out;
 }
 
 std::string ErrnoString(int errno_value) {

@@ -27,7 +27,8 @@ std::string_view StripWhitespace(std::string_view text);
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
 
-/// Formats a double with `digits` significant decimal places (printf "%.*f").
+/// Formats a double with `digits` decimal places, exactly as printf's
+/// "%.*f" does, however long the result.
 std::string FormatDouble(double value, int digits);
 
 /// Thread-safe strerror: the message for `errno_value` as a string.

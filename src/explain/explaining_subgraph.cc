@@ -1,6 +1,9 @@
 #include "explain/explaining_subgraph.h"
 
 #include <algorithm>
+#include <charconv>
+#include <limits>
+#include <system_error>
 
 #include "common/check.h"
 #include "common/strings.h"
@@ -47,11 +50,34 @@ double ExplainingSubgraph::AdjustedInFlowSum(LocalId v) const {
   return sum;
 }
 
+namespace {
+
+/// Longest "%.8f" rendering of a double: the sign, the 309 integer digits
+/// of -DBL_MAX, the point and 8 decimals.
+constexpr int kFlowDecimals = 8;
+constexpr size_t kMaxFlowChars =
+    1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 + kFlowDecimals;
+
+/// Appends `value` as printf("%.8f") would write it: std::to_chars in
+/// fixed format with a precision writes the same characters, NaN and
+/// infinities included.
+void AppendFlow(std::string& out, double value) {
+  char buf[kMaxFlowChars];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value,
+                                       std::chars_format::fixed,
+                                       kFlowDecimals);
+  ORX_CHECK(ec == std::errc());
+  out.append(buf, end);
+}
+
+}  // namespace
+
 std::string ExplainingSubgraph::ToString(const graph::DataGraph& data) const {
-  std::string out = "ExplainingSubgraph: " + std::to_string(num_nodes()) +
-                    " nodes, " + std::to_string(num_edges()) +
-                    " edges; target = " +
-                    data.DisplayLabel(target_global()) + "\n";
+  // Each node's label is resolved once, not once per edge end.
+  std::vector<std::string> labels(nodes_.size());
+  for (LocalId v = 0; v < nodes_.size(); ++v) {
+    labels[v] = data.DisplayLabel(nodes_[v]);
+  }
   // Render edges ordered by descending explaining flow: the paths that
   // matter most to the user come first.
   std::vector<uint32_t> order(edges_.size());
@@ -59,12 +85,33 @@ std::string ExplainingSubgraph::ToString(const graph::DataGraph& data) const {
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     return edges_[a].adjusted_flow > edges_[b].adjusted_flow;
   });
+
+  // Per edge: 26 fixed characters, the two labels and two flows of
+  // usually 10 characters each.
+  size_t size = 96 + labels[target_local_].size();
+  for (const ExplainEdge& e : edges_) {
+    size += 48 + labels[e.from].size() + labels[e.to].size();
+  }
+  std::string out;
+  out.reserve(size);
+  out += "ExplainingSubgraph: ";
+  out += std::to_string(num_nodes());
+  out += " nodes, ";
+  out += std::to_string(num_edges());
+  out += " edges; target = ";
+  out += labels[target_local_];
+  out += '\n';
   for (uint32_t i : order) {
     const ExplainEdge& e = edges_[i];
-    out += "  " + data.DisplayLabel(nodes_[e.from]) + " -> " +
-           data.DisplayLabel(nodes_[e.to]) +
-           "  flow=" + FormatDouble(e.adjusted_flow, 8) +
-           " (original " + FormatDouble(e.original_flow, 8) + ")\n";
+    out += "  ";
+    out += labels[e.from];
+    out += " -> ";
+    out += labels[e.to];
+    out += "  flow=";
+    AppendFlow(out, e.adjusted_flow);
+    out += " (original ";
+    AppendFlow(out, e.original_flow);
+    out += ")\n";
   }
   return out;
 }

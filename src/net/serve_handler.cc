@@ -1,5 +1,7 @@
 #include "net/serve_handler.h"
 
+#include <iterator>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -59,7 +61,82 @@ StatusOr<text::QueryVector> ParseWireQuery(const std::string& query) {
   return parsed;
 }
 
+/// True when `memoized` names `result` itself. weak_ptrs compare by
+/// owner, which stays allocated, and so unique, while a weak_ptr to it
+/// exists.
+bool SameResult(const std::weak_ptr<const core::SearchResult>& memoized,
+                const std::shared_ptr<const core::SearchResult>& result) {
+  return !memoized.owner_before(result) && !result.owner_before(memoized);
+}
+
+/// A stage's base set: the request's query over the admitted snapshot.
+StatusOr<core::BaseSet> StageBaseSet(const serve::ServeSnapshot& snap,
+                                     const text::QueryVector& query) {
+  return core::BuildBaseSet(*snap.corpus, query,
+                            core::BaseSetMode::kIrWeighted,
+                            snap.default_options.bm25);
+}
+
+/// Explains `target` over a stage's admitted `response` the one way both
+/// stages do (the snapshot's rates and damping, the default
+/// ExplainOptions), which is what lets them share the memo, and memoizes
+/// a successful explanation.
+StatusOr<std::shared_ptr<const explain::Explanation>> BuildExplanation(
+    ExplainMemo& memo, const serve::ServeResponse& response,
+    const core::BaseSet& base, graph::NodeId target) {
+  const serve::ServeSnapshot& snap = *response.snapshot;
+  explain::Explainer explainer(*snap.data, *snap.authority);
+  auto explanation = explainer.Explain(
+      target, base, response.result->scores, snap.rates,
+      snap.default_options.objectrank.damping, explain::ExplainOptions{});
+  if (!explanation.ok()) return explanation.status();
+  auto shared =
+      std::make_shared<const explain::Explanation>(*std::move(explanation));
+  memo.Insert(response.result, target, shared);
+  return shared;
+}
+
 }  // namespace
+
+std::shared_ptr<const explain::Explanation> ExplainMemo::Find(
+    const std::shared_ptr<const core::SearchResult>& result,
+    graph::NodeId target) {
+  MutexLock lock(mu_);
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    if (it->target == target && SameResult(it->result, result)) {
+      entries_.splice(entries_.begin(), entries_, it);
+      ++hits_;
+      return it->explanation;
+    }
+  }
+  ++misses_;
+  return nullptr;
+}
+
+void ExplainMemo::Insert(
+    const std::shared_ptr<const core::SearchResult>& result,
+    graph::NodeId target,
+    std::shared_ptr<const explain::Explanation> explanation) {
+  std::list<Entry> dropped;  // freed after the lock is released
+  MutexLock lock(mu_);
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    const auto next = std::next(it);
+    if (it->result.expired() ||
+        (it->target == target && SameResult(it->result, result))) {
+      dropped.splice(dropped.end(), entries_, it);
+    }
+    it = next;
+  }
+  entries_.push_front(Entry{result, target, std::move(explanation)});
+  if (entries_.size() > kEntries) {
+    dropped.splice(dropped.end(), entries_, std::prev(entries_.end()));
+  }
+}
+
+ExplainMemo::Stats ExplainMemo::stats() const {
+  MutexLock lock(mu_);
+  return {hits_, misses_};
+}
 
 void ServeHandler::Handle(Frame frame, ResponderPtr respond) {
   switch (frame.header.op) {
@@ -153,7 +230,7 @@ void ServeHandler::HandleExplain(Frame frame, ResponderPtr respond) {
   // loop thread.
   service_->SubmitStage(
       std::move(serve_request),
-      [respond, id, query = std::move(*query),
+      [respond, id, memo = memo_, query = std::move(*query),
        target_rank](const serve::ServeResponse& response) {
         const auto& snap = response.snapshot;
         const auto& top = response.result->top;
@@ -164,22 +241,21 @@ void ServeHandler::HandleExplain(Frame frame, ResponderPtr respond) {
                       " out of range 1.." + std::to_string(top.size()))));
           return;
         }
-        auto base = core::BuildBaseSet(*snap->corpus, query,
-                                       core::BaseSetMode::kIrWeighted,
-                                       snap->default_options.bm25);
-        if (!base.ok()) {
-          respond->Send(EncodeErrorFrame(id, base.status()));
-          return;
+        const graph::NodeId target = top[target_rank - 1].node;
+        auto explanation = memo->Find(response.result, target);
+        if (explanation == nullptr) {
+          auto base = StageBaseSet(*snap, query);
+          auto built = base.ok()
+                           ? BuildExplanation(*memo, response, *base, target)
+                           : base.status();
+          if (!built.ok()) {
+            respond->Send(EncodeErrorFrame(id, built.status()));
+            return;
+          }
+          explanation = *std::move(built);
         }
-        explain::Explainer explainer(*snap->data, *snap->authority);
-        auto explanation = explainer.Explain(
-            top[target_rank - 1].node, *base, response.result->scores,
-            snap->rates, snap->default_options.objectrank.damping,
-            explain::ExplainOptions{});
-        if (!explanation.ok()) {
-          respond->Send(EncodeErrorFrame(id, explanation.status()));
-          return;
-        }
+        // A memoized explanation reports the stage times of the build
+        // that produced it.
         ExplainResponse wire;
         wire.text = explanation->subgraph.ToString(*snap->data);
         wire.iterations = static_cast<uint32_t>(explanation->iterations);
@@ -226,7 +302,7 @@ void ServeHandler::HandleReformulate(Frame frame, ResponderPtr respond) {
   serve_request.query = *query;
   service_->SubmitStage(
       std::move(serve_request),
-      [respond, id, query = std::move(*query),
+      [respond, id, memo = memo_, query = std::move(*query),
        ranks = std::move(request->feedback_ranks)](
           const serve::ServeResponse& response) {
         const auto& snap = response.snapshot;
@@ -243,26 +319,50 @@ void ServeHandler::HandleReformulate(Frame frame, ResponderPtr respond) {
           }
           feedback.push_back(top[rank - 1].node);
         }
-        auto base = core::BuildBaseSet(*snap->corpus, query,
-                                       core::BaseSetMode::kIrWeighted,
-                                       snap->default_options.bm25);
-        if (!base.ok()) {
-          respond->Send(EncodeErrorFrame(id, base.status()));
-          return;
+        // Reformulator::Reformulate's two stages, with the explanations
+        // taken from the memo where kExplain (or an earlier reformulate)
+        // already built them. The base set is built on the first miss.
+        std::optional<core::BaseSet> base;
+        std::vector<std::shared_ptr<const explain::Explanation>> explained;
+        explained.reserve(feedback.size());
+        for (graph::NodeId target : feedback) {
+          auto explanation = memo->Find(response.result, target);
+          if (explanation == nullptr) {
+            if (!base.has_value()) {
+              auto base_set = StageBaseSet(*snap, query);
+              if (!base_set.ok()) {
+                respond->Send(EncodeErrorFrame(id, base_set.status()));
+                return;
+              }
+              base = *std::move(base_set);
+            }
+            auto built = BuildExplanation(*memo, response, *base, target);
+            if (!built.ok()) {
+              // As in Reformulator::ExplainFeedback: an object no
+              // authority reaches is skipped.
+              if (built.status().code() == StatusCode::kNotFound) continue;
+              respond->Send(EncodeErrorFrame(id, built.status()));
+              return;
+            }
+            explanation = *std::move(built);
+          }
+          explained.push_back(std::move(explanation));
         }
+        std::vector<const explain::Explanation*> views;
+        views.reserve(explained.size());
+        for (const auto& explanation : explained) {
+          views.push_back(explanation.get());
+        }
+        reform::ReformulationOptions options;
+        options.damping = snap->default_options.objectrank.damping;
         reform::Reformulator reformulator(*snap->data, *snap->authority,
                                           *snap->corpus);
-        auto result = reformulator.Reformulate(
-            query, snap->rates, *base, response.result->scores, feedback,
-            reform::ReformulationOptions{});
-        if (!result.ok()) {
-          respond->Send(EncodeErrorFrame(id, result.status()));
-          return;
-        }
+        const reform::ReformulationResult result =
+            reformulator.Learn(query, snap->rates, views, options);
         ReformulateResponse wire;
-        wire.reformulated_query = result->query.ToString();
-        wire.top_expansion_terms = result->top_expansion_terms;
-        wire.reformulation_seconds = result->reformulation_seconds;
+        wire.reformulated_query = result.query.ToString();
+        wire.top_expansion_terms = result.top_expansion_terms;
+        wire.reformulation_seconds = result.reformulation_seconds;
         respond->Send(EncodeFrame(Op::kReformulate, id,
                                   EncodeReformulateResponse(wire)));
       },

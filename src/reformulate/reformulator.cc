@@ -102,45 +102,69 @@ StatusOr<ReformulationResult> Reformulator::Reformulate(
   if (feedback_objects.empty()) {
     return InvalidArgumentError("no feedback objects given");
   }
+  auto explanations = ExplainFeedback(current_rates, base, scores,
+                                      feedback_objects, options);
+  if (!explanations.ok()) return explanations.status();
+  std::vector<const explain::Explanation*> views;
+  views.reserve(explanations->size());
+  for (const explain::Explanation& e : *explanations) views.push_back(&e);
+  ReformulationResult result =
+      Learn(current_query, current_rates, views, options);
+  result.explanations = *std::move(explanations);
+  return result;
+}
 
-  ReformulationResult result;
-  result.query = current_query;
-  result.rates = current_rates;
-
-  // Stage 1: explain every feedback object (a user "vote" for object v is
-  // a vote for its explaining subgraph, Section 5).
-  std::vector<std::vector<std::pair<std::string, double>>> term_weights;
-  std::vector<std::vector<double>> flow_vectors;
-  const size_t num_slots = data_->schema().num_rate_slots();
-  double total_iters = 0.0;
+StatusOr<std::vector<explain::Explanation>> Reformulator::ExplainFeedback(
+    const graph::TransferRates& rates, const core::BaseSet& base,
+    const std::vector<double>& scores,
+    std::span<const graph::NodeId> feedback_objects,
+    const ReformulationOptions& options) const {
+  std::vector<explain::Explanation> explanations;
+  explanations.reserve(feedback_objects.size());
   for (graph::NodeId v : feedback_objects) {
-    auto explanation = explainer_.Explain(v, base, scores, current_rates,
+    auto explanation = explainer_.Explain(v, base, scores, rates,
                                           options.damping, options.explain);
     if (!explanation.ok()) {
       if (explanation.status().code() == StatusCode::kNotFound) continue;
       return explanation.status();
     }
-    result.explain_construction_seconds += explanation->construction_seconds;
-    result.explain_adjustment_seconds += explanation->adjustment_seconds;
-    total_iters += explanation->iterations;
-
-    Timer reform_timer;
-    term_weights.push_back(ExpansionTermWeights(
-        explanation->subgraph, *corpus_, options.damping, options.content));
-    flow_vectors.push_back(EdgeTypeFlows(explanation->subgraph, num_slots));
-    result.reformulation_seconds += reform_timer.ElapsedSeconds();
-
-    result.explanations.push_back(*std::move(explanation));
+    explanations.push_back(*std::move(explanation));
   }
-  if (result.explanations.empty()) {
+  return explanations;
+}
+
+ReformulationResult Reformulator::Learn(
+    const text::QueryVector& current_query,
+    const graph::TransferRates& current_rates,
+    std::span<const explain::Explanation* const> explanations,
+    const ReformulationOptions& options) const {
+  ReformulationResult result;
+  result.query = current_query;
+  result.rates = current_rates;
+  if (explanations.empty()) {
     // No feedback object is reachable from the base set: nothing to learn.
     return result;
   }
-  result.avg_explain_iterations =
-      total_iters / static_cast<double>(result.explanations.size());
 
-  // Stage 2: aggregate across feedback objects and reformulate.
   Timer reform_timer;
+  std::vector<std::vector<std::pair<std::string, double>>> term_weights;
+  std::vector<std::vector<double>> flow_vectors;
+  term_weights.reserve(explanations.size());
+  flow_vectors.reserve(explanations.size());
+  const size_t num_slots = data_->schema().num_rate_slots();
+  double total_iters = 0.0;
+  for (const explain::Explanation* explanation : explanations) {
+    result.explain_construction_seconds += explanation->construction_seconds;
+    result.explain_adjustment_seconds += explanation->adjustment_seconds;
+    total_iters += explanation->iterations;
+    term_weights.push_back(ExpansionTermWeights(
+        explanation->subgraph, *corpus_, options.damping, options.content));
+    flow_vectors.push_back(EdgeTypeFlows(explanation->subgraph, num_slots));
+  }
+  result.avg_explain_iterations =
+      total_iters / static_cast<double>(explanations.size());
+
+  // Aggregate across feedback objects and reformulate.
   auto combined_terms = AggregateTermWeights(term_weights, options.aggregate);
   auto combined_flows = AggregateFlows(flow_vectors, options.aggregate);
 
@@ -166,7 +190,7 @@ StatusOr<ReformulationResult> Reformulator::Reformulate(
   result.rates =
       ReformulateStructure(data_->schema(), current_rates,
                            std::move(combined_flows), options.structure);
-  result.reformulation_seconds += reform_timer.ElapsedSeconds();
+  result.reformulation_seconds = reform_timer.ElapsedSeconds();
   return result;
 }
 

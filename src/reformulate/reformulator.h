@@ -60,10 +60,12 @@ struct ReformulationResult {
   double avg_explain_iterations = 0.0;
 };
 
-/// Turns user relevance feedback into a reformulated query: computes the
-/// explaining subgraph of every feedback object, then applies the content-
-/// and structure-based reformulations of Section 5 (either can be disabled
-/// through its factor).
+/// Turns user relevance feedback into a reformulated query in two stages:
+/// ExplainFeedback computes the explaining subgraph of every feedback
+/// object, and Learn applies the content- and structure-based
+/// reformulations of Section 5 to those subgraphs (either can be disabled
+/// through its factor). Reformulate runs both; a caller that already
+/// holds the explanations (the server's explain memo) calls Learn alone.
 class Reformulator {
  public:
   Reformulator(const graph::DataGraph& data,
@@ -84,6 +86,30 @@ class Reformulator {
       const graph::TransferRates& current_rates, const core::BaseSet& base,
       const std::vector<double>& scores,
       std::span<const graph::NodeId> feedback_objects,
+      const ReformulationOptions& options = {}) const;
+
+  /// Stage 1 of Reformulate: the explanations of the feedback objects, in
+  /// input order, built with `options.explain` and `options.damping` (a
+  /// user "vote" for object v is a vote for its explaining subgraph,
+  /// Section 5). Objects the explainer answers with kNotFound are
+  /// skipped; any other explainer error is returned.
+  StatusOr<std::vector<explain::Explanation>> ExplainFeedback(
+      const graph::TransferRates& rates, const core::BaseSet& base,
+      const std::vector<double>& scores,
+      std::span<const graph::NodeId> feedback_objects,
+      const ReformulationOptions& options = {}) const;
+
+  /// Stage 2 of Reformulate: aggregates the explanations' expansion terms
+  /// and edge-type flows and reformulates `current_query`/`current_rates`
+  /// (Equations 11-15). With no explanations the inputs come back
+  /// unchanged. The explanations must have been built with
+  /// `options.damping` over the search being refined. The result's
+  /// `explanations` stays empty; its explain timings and iterations sum
+  /// the explanations' own.
+  ReformulationResult Learn(
+      const text::QueryVector& current_query,
+      const graph::TransferRates& current_rates,
+      std::span<const explain::Explanation* const> explanations,
       const ReformulationOptions& options = {}) const;
 
  private:

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -103,6 +104,12 @@ TEST(StringsTest, StartsEndsWith) {
 TEST(StringsTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(0.12345, 2), "0.12");
   EXPECT_EQ(FormatDouble(1.0, 3), "1.000");
+  // Longer than any fixed buffer: every digit printf writes.
+  const std::string huge =
+      FormatDouble(-std::numeric_limits<double>::max(), 8);
+  EXPECT_EQ(huge.size(), 319u);
+  EXPECT_EQ(huge.substr(0, 12), "-17976931348");
+  EXPECT_EQ(huge.substr(huge.size() - 10), "8.00000000");
 }
 
 // ----------------------------------------------------------------------

@@ -7,7 +7,10 @@
 #include <climits>
 #include <cmath>
 #include <deque>
+#include <iterator>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/strings.h"
@@ -860,6 +863,123 @@ TEST(ExplainEquivalenceTest, BothNotFoundPathsMatchTheReference) {
                                       0.85, {}),
                      fig.dataset.data()),
             "");
+}
+
+/// The characters of the longest number rendered after "flow=" or
+/// "(original " in `text`.
+size_t LongestRenderedFlow(const std::string& text) {
+  size_t longest = 0;
+  for (const std::string_view marker : {"flow=", "(original "}) {
+    for (size_t at = text.find(marker); at != std::string::npos;
+         at = text.find(marker, at + 1)) {
+      const size_t begin = at + marker.size();
+      const size_t end = text.find_first_of(" )", begin);
+      longest = std::max(longest, end - begin);
+    }
+  }
+  return longest;
+}
+
+TEST(ExplainRenderTest, LargeSubgraphsRenderAsTheReference) {
+  // Mismatch renders only subgraphs of at most kMaxRenderedEdges edges;
+  // these are DBLP-size ones (radius 3, pruned and unpruned).
+  datasets::DblpDataset dblp = datasets::GenerateDblp(
+      datasets::DblpGeneratorConfig::Tiny(/*papers=*/4000, /*seed=*/17));
+  const graph::AuthorityGraph& graph = dblp.dataset.authority();
+  const graph::TransferRates rates =
+      datasets::DblpGroundTruthRates(dblp.dataset.schema(), dblp.types);
+  Explainer explainer(dblp.dataset.data(), graph);
+  size_t largest = 0;
+  for (const std::string& query : HeadTerms(dblp.dataset.corpus(), 2)) {
+    auto base = core::BuildBaseSet(
+        dblp.dataset.corpus(), text::QueryVector(text::ParseQuery(query)));
+    ASSERT_TRUE(base.ok()) << query;
+    const std::vector<double> scores =
+        core::ObjectRankEngine(graph).Compute(*base, rates, {}).scores;
+    for (const core::ScoredNode& r : core::TopK(scores, 3)) {
+      for (const double prune : {0.0, 0.01}) {
+        ExplainOptions options;
+        options.prune_fraction = prune;
+        auto got = explainer.Explain(r.node, *base, scores, rates, 0.85,
+                                     options);
+        auto want = ReferenceExplain(graph, r.node, *base, scores, rates,
+                                     0.85, options);
+        ASSERT_EQ(Mismatch(got, want, dblp.dataset.data()), "")
+            << "query '" << query << "' target " << r.node;
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(got->subgraph.ToString(dblp.dataset.data()),
+                  ReferenceToString(*want, dblp.dataset.data()))
+            << "query '" << query << "' target " << r.node << " prune "
+            << prune;
+        largest = std::max(largest, got->subgraph.num_edges());
+      }
+    }
+  }
+  EXPECT_GT(largest, 10 * kMaxRenderedEdges);
+}
+
+TEST(ExplainRenderTest, SpecialFlowsRenderAsPrintfDoes) {
+  // Flows are d * a(e) * r(u), so synthetic score vectors of NaN, -NaN,
+  // infinities, signed zeros, subnormals and huge values give flows of
+  // the same kinds. Under rates of 1, a(e) is 1 on the out-edges of a
+  // node with one out-edge, and damping 1 then renders -DBL_MAX itself:
+  // the longest "%.8f" there is.
+  datasets::Figure1Dataset fig = datasets::MakeFigure1Dataset();
+  const graph::DataGraph& data = fig.dataset.data();
+  const graph::AuthorityGraph& graph = fig.dataset.authority();
+  auto base = core::BuildBaseSet(fig.dataset.corpus(),
+                                 text::QueryVector(text::ParseQuery("olap")));
+  ASSERT_TRUE(base.ok());
+  const double specials[] = {std::nan(""),
+                             -std::nan(""),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -1e-310,
+                             1e300,
+                             -1e300,
+                             -std::numeric_limits<double>::max()};
+  const graph::TransferRates ones(fig.dataset.schema(), 1.0);
+  const graph::TransferRates ground_truth =
+      datasets::DblpGroundTruthRates(fig.dataset.schema(), fig.types);
+  Explainer explainer(data, graph);
+  ExplainOptions options;
+  options.radius = 5;
+  options.prune_fraction = 0.0;
+  options.max_iterations = 5;
+  std::string rendered;
+  for (size_t shift = 0; shift < std::size(specials); ++shift) {
+    std::vector<double> scores(data.num_nodes());
+    for (size_t v = 0; v < scores.size(); ++v) {
+      scores[v] = specials[(v + shift) % std::size(specials)];
+    }
+    for (const graph::TransferRates* rates : {&ones, &ground_truth}) {
+      for (const double damping : {1.0, 0.85}) {
+        for (graph::NodeId target = 0; target < data.num_nodes(); ++target) {
+          auto got = explainer.Explain(target, *base, scores, *rates,
+                                       damping, options);
+          auto want = ReferenceExplain(graph, target, *base, scores, *rates,
+                                       damping, options);
+          ASSERT_EQ(got.ok(), want.ok()) << "target " << target;
+          if (!got.ok()) continue;
+          const std::string text = got->subgraph.ToString(data);
+          EXPECT_EQ(text, ReferenceToString(*want, data))
+              << "target " << target << " shift " << shift;
+          rendered += text;
+        }
+      }
+    }
+  }
+  for (const char* flow : {"flow=nan", "flow=-nan", "flow=inf", "flow=-inf",
+                           "flow=-0.00000000", "flow=0.00000000",
+                           "flow=1000000000000000052504760255204420248704",
+                           "flow=-1000000000000000052504760255204420248704",
+                           "flow=-17976931348623157081452742373170435679"}) {
+    EXPECT_NE(rendered.find(flow), std::string::npos) << flow;
+  }
+  // Sign, 309 integer digits, point, 8 decimals.
+  EXPECT_EQ(LongestRenderedFlow(rendered), 319u);
 }
 
 }  // namespace

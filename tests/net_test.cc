@@ -3,7 +3,8 @@
 // (loopback connections, malformed-frame handling, admission-overflow
 // error frames, idle timeouts, graceful drain), and the full protocol
 // stack over a generated DBLP snapshot: explain and reformulate run as
-// admitted pool stages, never on a loop thread. The whole suite is
+// admitted pool stages, never on a loop thread, and share the handler's
+// explain memo without ever crossing results. The whole suite is
 // tsan-labeled (tools/check_tsan.sh), which covers the concurrent
 // clients and the concurrent paper sessions.
 
@@ -19,6 +20,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -732,8 +734,14 @@ struct FullStack {
 
   explicit FullStack(serve::SearchService::Options service_options = {},
                      ServerOptions server_options = TestServerOptions(),
-                     uint32_t papers = 80) {
-    snapshot = MakeSnapshot(papers, 11);
+                     uint32_t papers = 80)
+      : FullStack(MakeSnapshot(papers, 11), service_options,
+                  server_options) {}
+
+  FullStack(std::shared_ptr<const serve::ServeSnapshot> served,
+            serve::SearchService::Options service_options,
+            ServerOptions server_options) {
+    snapshot = std::move(served);
     service = std::make_unique<serve::SearchService>(snapshot,
                                                      service_options);
     handler = std::make_unique<ServeHandler>(service.get());
@@ -1076,7 +1084,9 @@ class PoolHold {
 
 /// The paper's session computed in-process on `snap`: a fresh search of
 /// `query`, then the explaining subgraph of rank 1 and the reformulation
-/// with `feedback_ranks` — the goldens the wire answers must equal.
+/// with `feedback_ranks` — the goldens the wire answers must equal. Both
+/// use the snapshot's damping, as the server does, unless `damping` says
+/// otherwise for the reformulation.
 struct SessionGolden {
   std::string explain_text;
   std::string reformulated_query;
@@ -1084,7 +1094,8 @@ struct SessionGolden {
 
 SessionGolden GoldenSession(const serve::ServeSnapshot& snap,
                             const std::string& query_text,
-                            const std::vector<uint32_t>& feedback_ranks) {
+                            const std::vector<uint32_t>& feedback_ranks,
+                            std::optional<double> damping = std::nullopt) {
   const text::QueryVector query(text::ParseQuery(query_text));
   core::Searcher searcher(*snap.data, *snap.authority, *snap.corpus);
   auto result = searcher.Search(query, snap.rates, snap.default_options);
@@ -1109,9 +1120,11 @@ SessionGolden GoldenSession(const serve::ServeSnapshot& snap,
   }
   reform::Reformulator reformulator(*snap.data, *snap.authority,
                                     *snap.corpus);
-  auto reformulated =
-      reformulator.Reformulate(query, snap.rates, *base, result->scores,
-                               feedback, reform::ReformulationOptions{});
+  reform::ReformulationOptions options;
+  options.damping =
+      damping.value_or(snap.default_options.objectrank.damping);
+  auto reformulated = reformulator.Reformulate(
+      query, snap.rates, *base, result->scores, feedback, options);
   EXPECT_TRUE(reformulated.ok()) << reformulated.status();
   if (reformulated.ok()) {
     golden.reformulated_query = reformulated->query.ToString();
@@ -1360,6 +1373,122 @@ TEST(NetFullStackTest, StagesOnADroppedVectorMatchInProcessGoldens) {
   ASSERT_TRUE(reform.ok()) << reform.status();
   EXPECT_EQ(reform->reformulated_query, golden.reformulated_query);
   EXPECT_EQ(stack.service->Snapshot().executed, executed + 1);
+  stack.server->Shutdown();
+  EXPECT_EQ(stack.server->stats().unanswered_frames, 0u);
+}
+
+TEST(NetFullStackTest, ReformulateLearnsAtTheSnapshotsDamping) {
+  // The search, kExplain and kReformulate all run at the snapshot's
+  // damping: a reformulation that learned at a fixed 0.85 from scores
+  // computed at 0.6 would come back as the second golden.
+  auto damped = std::make_shared<serve::ServeSnapshot>(*MakeSnapshot(80, 11));
+  damped->default_options.objectrank.damping = 0.6;
+  FullStack stack(damped, {}, TestServerOptions());
+  ASSERT_TRUE(stack.server->Start().ok());
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()).ok());
+
+  const std::string query = HeadTerm(*damped->corpus);
+  const SessionGolden golden = GoldenSession(*damped, query, {1, 2});
+  const SessionGolden at_085 = GoldenSession(*damped, query, {1, 2}, 0.85);
+  ASSERT_FALSE(golden.reformulated_query.empty());
+  ASSERT_NE(golden.reformulated_query, at_085.reformulated_query);
+  auto explain = client.Explain({query, 1});
+  ASSERT_TRUE(explain.ok()) << explain.status();
+  EXPECT_EQ(explain->text, golden.explain_text);
+  auto reform = client.Reformulate({query, {1, 2}});
+  ASSERT_TRUE(reform.ok()) << reform.status();
+  EXPECT_EQ(reform->reformulated_query, golden.reformulated_query);
+  stack.server->Shutdown();
+  EXPECT_EQ(stack.server->stats().unanswered_frames, 0u);
+}
+
+TEST(NetFullStackTest, ReformulateReusesTheSubgraphExplainBuilt) {
+  // The paper's loop: explain rank 1, then reformulate {1,2} over the
+  // same cached result. Rank 1's subgraph comes from the memo (one hit);
+  // rank 2's is built (the second of two misses).
+  FullStack stack;
+  ASSERT_TRUE(stack.server->Start().ok());
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()).ok());
+  const std::string query = HeadTerm(*stack.snapshot->corpus);
+  const SessionGolden golden = GoldenSession(*stack.snapshot, query, {1, 2});
+
+  auto explain = client.Explain({query, 1});
+  ASSERT_TRUE(explain.ok()) << explain.status();
+  EXPECT_EQ(explain->text, golden.explain_text);
+  auto reform = client.Reformulate({query, {1, 2}});
+  ASSERT_TRUE(reform.ok()) << reform.status();
+  EXPECT_EQ(reform->reformulated_query, golden.reformulated_query);
+  const ExplainMemo::Stats memo = stack.handler->explain_memo_stats();
+  EXPECT_EQ(memo.hits, 1u);
+  EXPECT_EQ(memo.misses, 2u);
+
+  // A repeated explain is answered from the memo with the same text and
+  // the stage times of the build that produced it.
+  auto again = client.Explain({query, 1});
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->text, explain->text);
+  EXPECT_EQ(again->construction_seconds, explain->construction_seconds);
+  EXPECT_EQ(stack.handler->explain_memo_stats().hits, 2u);
+  stack.server->Shutdown();
+  EXPECT_EQ(stack.server->stats().unanswered_frames, 0u);
+}
+
+TEST(NetFullStackTest, MemoNeverCrossesASnapshotSwap) {
+  // A publication that adds nodes lands between explain and reformulate.
+  // The reformulate's search executes on the grown snapshot, so its
+  // result is a new one and no memoized subgraph of version 1 matches.
+  FullStack stack;
+  auto grown = MakeSnapshot(120, 11);
+  ASSERT_GT(grown->data->num_nodes(), stack.snapshot->data->num_nodes());
+  ASSERT_TRUE(stack.server->Start().ok());
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()).ok());
+  const std::string query = HeadTerm(*stack.snapshot->corpus);
+
+  auto explain = client.Explain({query, 1});
+  ASSERT_TRUE(explain.ok()) << explain.status();
+  EXPECT_EQ(explain->text,
+            GoldenSession(*stack.snapshot, query, {1, 2}).explain_text);
+  stack.service->SwapSnapshot(grown);
+  const SessionGolden golden = GoldenSession(*grown, query, {1, 2});
+  auto reform = client.Reformulate({query, {1, 2}});
+  ASSERT_TRUE(reform.ok()) << reform.status();
+  EXPECT_EQ(reform->reformulated_query, golden.reformulated_query);
+  auto explain_grown = client.Explain({query, 1});
+  ASSERT_TRUE(explain_grown.ok()) << explain_grown.status();
+  EXPECT_EQ(explain_grown->text, golden.explain_text);
+  const ExplainMemo::Stats memo = stack.handler->explain_memo_stats();
+  EXPECT_EQ(memo.hits, 1u);  // the last explain, over the grown result
+  EXPECT_EQ(memo.misses, 3u);
+  stack.server->Shutdown();
+  EXPECT_EQ(stack.server->stats().unanswered_frames, 0u);
+}
+
+TEST(NetFullStackTest, MemoNeverHitsWithTheResultCacheOff) {
+  // With no result cache every stage executes its own search, and a
+  // memoized subgraph never outlives the result it explains.
+  serve::SearchService::Options options;
+  options.result_cache_entries = 0;
+  FullStack stack(options);
+  ASSERT_TRUE(stack.server->Start().ok());
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()).ok());
+  const std::string query = HeadTerm(*stack.snapshot->corpus);
+  const SessionGolden golden = GoldenSession(*stack.snapshot, query, {1, 2});
+
+  for (int round = 0; round < 2; ++round) {
+    auto explain = client.Explain({query, 1});
+    ASSERT_TRUE(explain.ok()) << explain.status();
+    EXPECT_EQ(explain->text, golden.explain_text);
+    auto reform = client.Reformulate({query, {1, 2}});
+    ASSERT_TRUE(reform.ok()) << reform.status();
+    EXPECT_EQ(reform->reformulated_query, golden.reformulated_query);
+  }
+  const ExplainMemo::Stats memo = stack.handler->explain_memo_stats();
+  EXPECT_EQ(memo.hits, 0u);
+  EXPECT_EQ(memo.misses, 6u);
   stack.server->Shutdown();
   EXPECT_EQ(stack.server->stats().unanswered_frames, 0u);
 }

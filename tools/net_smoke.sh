@@ -97,5 +97,5 @@ fi
 wait "$SERVE_PID" || { echo "FAILED: server exited non-zero"; cat "$SERVE_LOG"; exit 1; }
 grep -q "unanswered=0" "$SERVE_LOG" || {
   echo "FAILED: drain left unanswered frames"; cat "$SERVE_LOG"; exit 1; }
-tail -3 "$SERVE_LOG"
+tail -4 "$SERVE_LOG"
 echo "net-smoke: PASS"

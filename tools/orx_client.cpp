@@ -442,30 +442,54 @@ int RunE2e(const ClientFlags& flags) {
     E2E_CHECK(same, what.c_str());
   }
 
+  // The local answers of the explain and reformulate stages, computed as
+  // the server computes them: over a fresh search of `q` with its full
+  // score vector, at the snapshot's damping. Empty when they fail.
+  auto local_explain = [&](const std::string& q, uint32_t rank) {
+    text::QueryVector query(text::ParseQuery(q));
+    auto local = GoldenSearch(golden, snap, query);
+    if (!local.ok() || local->top.size() < rank) return std::string();
+    auto base = core::BuildBaseSet(*snap.corpus, query,
+                                   core::BaseSetMode::kIrWeighted,
+                                   snap.default_options.bm25);
+    if (!base.ok()) return std::string();
+    explain::Explainer explainer(*snap.data, *snap.authority);
+    auto explanation = explainer.Explain(
+        local->top[rank - 1].node, *base, local->scores, snap.rates,
+        snap.default_options.objectrank.damping, explain::ExplainOptions{});
+    return explanation.ok() ? explanation->subgraph.ToString(*snap.data)
+                            : std::string();
+  };
+  auto local_reformulation = [&](const std::string& q,
+                                 const std::vector<uint32_t>& ranks) {
+    text::QueryVector query(text::ParseQuery(q));
+    auto local = GoldenSearch(golden, snap, query);
+    if (!local.ok()) return std::string();
+    auto base = core::BuildBaseSet(*snap.corpus, query,
+                                   core::BaseSetMode::kIrWeighted,
+                                   snap.default_options.bm25);
+    if (!base.ok()) return std::string();
+    std::vector<graph::NodeId> feedback;
+    for (uint32_t rank : ranks) {
+      if (rank == 0 || rank > local->top.size()) return std::string();
+      feedback.push_back(local->top[rank - 1].node);
+    }
+    reform::Reformulator reformulator(*snap.data, *snap.authority,
+                                      *snap.corpus);
+    reform::ReformulationOptions options;
+    options.damping = snap.default_options.objectrank.damping;
+    auto result = reformulator.Reformulate(query, snap.rates, *base,
+                                           local->scores, feedback, options);
+    return result.ok() ? result->query.ToString() : std::string();
+  };
+
   // Explain: wire text equals the locally computed explaining subgraph.
   {
     const std::string& q = queries.front();
-    const uint32_t rank = 2;
-    auto wire = client.Explain({q, rank});
-    text::QueryVector query(text::ParseQuery(q));
-    auto local = GoldenSearch(golden, snap, query);
-    bool same = false;
-    if (wire.ok() && local.ok() && local->top.size() >= rank) {
-      auto base =
-          core::BuildBaseSet(*snap.corpus, query,
-                             core::BaseSetMode::kIrWeighted,
-                             snap.default_options.bm25);
-      if (base.ok()) {
-        explain::Explainer explainer(*snap.data, *snap.authority);
-        auto explanation = explainer.Explain(
-            local->top[rank - 1].node, *base, local->scores, snap.rates,
-            snap.default_options.objectrank.damping,
-            explain::ExplainOptions{});
-        same = explanation.ok() &&
-               wire->text == explanation->subgraph.ToString(*snap.data);
-      }
-    }
-    E2E_CHECK(same, "explain rank 2 matches local explainer");
+    auto wire = client.Explain({q, 2});
+    const std::string local = local_explain(q, 2);
+    E2E_CHECK(wire.ok() && !local.empty() && wire->text == local,
+              "explain rank 2 matches local explainer");
 
     auto out_of_range = client.Explain({q, 9999});
     E2E_CHECK(!out_of_range.ok() && out_of_range.status().code() ==
@@ -477,27 +501,24 @@ int RunE2e(const ClientFlags& flags) {
   {
     const std::string& q = queries.front();
     auto wire = client.Reformulate({q, {1, 3}});
-    text::QueryVector query(text::ParseQuery(q));
-    auto local = GoldenSearch(golden, snap, query);
-    bool same = false;
-    if (wire.ok() && local.ok() && local->top.size() >= 3) {
-      auto base =
-          core::BuildBaseSet(*snap.corpus, query,
-                             core::BaseSetMode::kIrWeighted,
-                             snap.default_options.bm25);
-      if (base.ok()) {
-        reform::Reformulator reformulator(*snap.data, *snap.authority,
-                                          *snap.corpus);
-        std::vector<graph::NodeId> feedback = {local->top[0].node,
-                                               local->top[2].node};
-        auto result =
-            reformulator.Reformulate(query, snap.rates, *base, local->scores,
-                                     feedback, reform::ReformulationOptions{});
-        same = result.ok() &&
-               wire->reformulated_query == result->query.ToString();
-      }
-    }
-    E2E_CHECK(same, "reformulate {1,3} matches local reformulator");
+    const std::string local = local_reformulation(q, {1, 3});
+    E2E_CHECK(wire.ok() && !local.empty() &&
+                  wire->reformulated_query == local,
+              "reformulate {1,3} matches local reformulator");
+
+    // The paper's loop: a reformulate after an explain of the same cached
+    // result learns from the subgraph the explain built (the server's
+    // explain memo), and must still equal the local answers.
+    auto explained = client.Explain({q, 2});
+    auto reformulated = client.Reformulate({q, {2, 3}});
+    const std::string local_text = local_explain(q, 2);
+    const std::string local_query = local_reformulation(q, {2, 3});
+    E2E_CHECK(explained.ok() && !local_text.empty() &&
+                  explained->text == local_text && reformulated.ok() &&
+                  !local_query.empty() &&
+                  reformulated->reformulated_query == local_query,
+              "explain rank 2, then reformulate {2,3} matches local "
+              "explainer/reformulator");
 
     // A repeated rank is refused before the stage is admitted, however
     // many times the frame repeats it.

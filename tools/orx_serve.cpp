@@ -289,5 +289,9 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(metrics.tier_exact),
       static_cast<unsigned long long>(metrics.tier_cached),
       metrics.tier_exact_p50 * 1e3, metrics.tier_cached_p50 * 1e3);
+  const net::ExplainMemo::Stats memo = handler.explain_memo_stats();
+  std::printf("orx_serve: explain_memo hits=%llu misses=%llu\n",
+              static_cast<unsigned long long>(memo.hits),
+              static_cast<unsigned long long>(memo.misses));
   return 0;
 }
