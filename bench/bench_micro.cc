@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of ORX's building blocks: the power
 // iteration inner loop, index construction, BM25 base-set scoring,
-// explaining-subgraph construction, top-k selection and the generators.
+// explaining-subgraph construction, top-k selection, the generators and
+// one served result-cache hit.
 // Results also land in BENCH_micro.json (same record schema as the other
 // bench binaries) so runs are diffable across revisions.
 
@@ -10,9 +11,14 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/check.h"
 #include "common/timer.h"
 #include "core/searcher.h"
+#include "dataset_spec.h"
 #include "explain/explainer.h"
+#include "net/frame.h"
+#include "net/serve_handler.h"
+#include "serve/search_service.h"
 #include "text/query.h"
 
 namespace {
@@ -148,6 +154,61 @@ void BM_Reformulate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Reformulate)->Unit(benchmark::kMillisecond);
+
+/// Decodes a kSearch payload into the service request, as
+/// net::ServeHandler::HandleSearch does on a loop thread.
+serve::ServeRequest DecodeServeRequest(const std::string& payload) {
+  auto request = net::DecodeSearchRequest(payload);
+  ORX_CHECK(request.ok());
+  serve::ServeRequest serve_request;
+  serve_request.query = text::QueryVector(text::ParseQuery(request->query));
+  serve_request.k = request->k;
+  serve_request.deadline_seconds = request->deadline_seconds;
+  serve_request.tier = static_cast<core::SearchTier>(request->tier);
+  return serve_request;
+}
+
+/// One cached kSearch on orx_serve --scale 1's dataset, cycling over the
+/// 64 head-term queries after warming each once: decode, parse, submit,
+/// and encode the response frame, the work search_hot's >= 99% hits put
+/// on a loop thread, without the socket. A hit answers inside
+/// SubmitAsync on the calling thread.
+void BM_ServeCacheHit(benchmark::State& state) {
+  static const tools::ServingDataset& dataset =
+      *new tools::ServingDataset(tools::BuildServingDataset(1.0));
+  // Outlives the service, whose destructor drains any execution that
+  // could still call back into it.
+  std::string frame;
+  serve::SearchService service(dataset.snapshot,
+                               serve::SearchService::Options{});
+  std::vector<std::string> payloads;
+  for (const std::string& term : dataset.head_terms) {
+    net::SearchRequest request;
+    request.query = term;
+    payloads.push_back(net::EncodeSearchRequest(request));
+    ORX_CHECK(service.Search(DecodeServeRequest(payloads.back())).ok());
+  }
+  const uint64_t executed = service.Snapshot().executed;
+  size_t next = 0;
+  for (auto _ : state) {
+    service.SubmitAsync(
+        DecodeServeRequest(payloads[next]),
+        [&frame](StatusOr<serve::ServeResponse> response) {
+          ORX_CHECK(response.ok());
+          frame = net::EncodeFrame(
+              net::Op::kSearch, 1,
+              net::EncodeSearchResponse(net::ToWire(*response)));
+        });
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+    if (++next == payloads.size()) next = 0;
+  }
+  if (service.Snapshot().executed != executed) {
+    state.SkipWithError("a timed search missed the result cache");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServeCacheHit)->Unit(benchmark::kMicrosecond);
 
 /// The console reporter, plus a JSON record per reported run so main()
 /// can emit BENCH_micro.json without re-running anything.

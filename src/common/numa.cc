@@ -12,6 +12,8 @@
 #include <sstream>
 #include <thread>
 
+#include "common/thread_pool.h"
+
 namespace orx {
 namespace {
 
@@ -38,8 +40,7 @@ NumaTopology DetectTopology() {
   }
   if (topo.node_cpus.empty()) {
     // UMA fallback: one node holding every hardware thread.
-    const int n = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
+    const int n = static_cast<int>(ThreadPool::HardwareThreads());
     std::vector<int> cpus(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) cpus[static_cast<size_t>(i)] = i;
     topo.node_cpus.push_back(std::move(cpus));

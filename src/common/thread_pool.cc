@@ -60,7 +60,12 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
 }
 
 size_t ThreadPool::HardwareThreads() {
-  return std::max<size_t>(1, std::thread::hardware_concurrency());
+  // glibc answers hardware_concurrency() by reading sysfs on every call;
+  // the service clamps each request's threads with this count under its
+  // mutex, so a cache hit must not pay that read.
+  static const size_t count =
+      std::max<size_t>(1, std::thread::hardware_concurrency());
+  return count;
 }
 
 void ThreadPool::WorkerLoop() {

@@ -56,7 +56,10 @@ class ThreadPool {
   size_t num_threads() const { return workers_.size(); }
 
   /// std::thread::hardware_concurrency with a floor of 1 (the standard
-  /// allows it to return 0 when undetectable).
+  /// allows it to return 0 when undetectable), read once per process: a
+  /// CPU brought online later is not seen, as pools sized earlier
+  /// already ignore it. Every other caller goes through here
+  /// (tools/orx_lint.py's hardware-concurrency rule).
   static size_t HardwareThreads();
 
  private:

@@ -13,10 +13,7 @@
 #include "text/query.h"
 
 namespace orx::net {
-namespace {
 
-/// Renders the service's ServeResponse (plus labels resolved against the
-/// snapshot it was admitted with) into the wire shape.
 SearchResponse ToWire(const serve::ServeResponse& response) {
   const serve::ServeSnapshot& snap = *response.snapshot;
   const core::SearchResult& result = *response.result;
@@ -42,6 +39,8 @@ SearchResponse ToWire(const serve::ServeResponse& response) {
   wire.error_bound = result.error_bound;
   return wire;
 }
+
+namespace {
 
 /// A stage's failure sink: answers the frame with a kError carrying the
 /// status (kUnavailable, kDeadlineExceeded, or the search's error).

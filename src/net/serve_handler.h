@@ -80,6 +80,10 @@ class ExplainMemo {
   uint64_t misses_ ORX_GUARDED_BY(mu_) = 0;
 };
 
+/// Renders the service's ServeResponse into the kSearch wire shape, with
+/// labels resolved against the snapshot it was admitted with.
+SearchResponse ToWire(const serve::ServeResponse& response);
+
 /// Binds the ORXN protocol ops to a serve::SearchService (and, through
 /// the service's pinned snapshots, to the explainer and reformulator).
 /// One instance serves every connection, and Handle() is safe from any

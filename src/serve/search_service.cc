@@ -1,7 +1,8 @@
 #include "serve/search_service.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <system_error>
 #include <utility>
 
 #include "common/check.h"
@@ -13,10 +14,15 @@ double ToSeconds(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
 
+// Appends `value`'s shortest round-trip text and a '|'. Distinct doubles
+// never share a text, so the key never merges two requests. std::to_chars
+// rather than snprintf: the key is built under the service mutex.
 void AppendDouble(std::string& out, double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g|", value);
-  out += buf;
+  char buf[32];  // the longest is 24: "-2.2250738585072014e-308"
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  ORX_CHECK(ec == std::errc());
+  out.append(buf, end);
+  out += '|';
 }
 
 // "v<version>|": the key prefix that scopes cache entries to one

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <memory>
 #include <string>
@@ -277,6 +278,49 @@ TEST(SearchServiceTest, ResultCacheServesRepeatsWithoutExecution) {
   const ServeMetrics m = service.Snapshot();
   EXPECT_EQ(m.executed, 2u);
   EXPECT_EQ(m.cache_hits, 2u);
+}
+
+// The key must never merge two requests, however close: one ulp of
+// damping, or of one term's weight, is another query. The key writes
+// doubles as text, so this pins that the text of distinct doubles
+// differs.
+TEST(SearchServiceTest, CacheKeySeparatesAdjacentDoubles) {
+  auto snap = MakeDblpSnapshot(200, 8);
+  const std::vector<std::string> terms = TopTerms(*snap->corpus, 2);
+  SearchService service(snap, SearchService::Options{});
+  auto with_damping = [&](double damping) {
+    ServeRequest request = MakeRequest(terms[0]);
+    request.options = snap->default_options;
+    request.options->objectrank.damping = damping;
+    return request;
+  };
+  auto with_weight = [&](double weight) {
+    ServeRequest request = MakeRequest(terms[0] + " " + terms[1]);
+    request.query.SetWeight(terms[1], weight);
+    return request;
+  };
+  auto cache_hit = [&](ServeRequest request) {
+    auto response = service.Search(std::move(request));
+    EXPECT_TRUE(response.ok()) << response.status();
+    return response.ok() && response->cache_hit;
+  };
+  const double damping_up = std::nextafter(0.85, 1.0);
+  const double weight_up = std::nextafter(1.0, 2.0);
+
+  EXPECT_FALSE(cache_hit(with_damping(0.85)));
+  EXPECT_FALSE(cache_hit(with_damping(damping_up)));
+  EXPECT_EQ(service.Snapshot().executed, 2u);
+  EXPECT_FALSE(cache_hit(with_weight(1.0)));
+  EXPECT_FALSE(cache_hit(with_weight(weight_up)));
+  EXPECT_EQ(service.Snapshot().executed, 4u);
+
+  EXPECT_TRUE(cache_hit(with_damping(0.85)));
+  EXPECT_TRUE(cache_hit(with_damping(damping_up)));
+  EXPECT_TRUE(cache_hit(with_weight(1.0)));
+  EXPECT_TRUE(cache_hit(with_weight(weight_up)));
+  const ServeMetrics m = service.Snapshot();
+  EXPECT_EQ(m.executed, 4u);
+  EXPECT_EQ(m.cache_hits, 4u);
 }
 
 TEST(SearchServiceTest, CacheOffExecutesEveryRequest) {

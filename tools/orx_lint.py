@@ -36,6 +36,12 @@ of):
                   and .detach() is banned everywhere scanned — a
                   detached thread outlives every shutdown contract.
                   (std::thread::id / std::this_thread are fine.)
+  hardware-concurrency
+                  std::thread::hardware_concurrency and get_nprocs are
+                  banned everywhere scanned outside
+                  common/thread_pool.cc: glibc re-reads sysfs on each
+                  call, so the count is read once per process there and
+                  everyone else asks ThreadPool::HardwareThreads().
 
 Allowlist: tools/orx_lint_allow.txt, one entry per line:
     <rule> <path-suffix>[ <substring>]
@@ -79,6 +85,11 @@ RAW_MUTEX_EXEMPT = ("src/common/mutex.h", "src/common/mutex.cc")
 THREAD_SPAWN_RE = re.compile(r"\bstd::thread\b(?!\s*::)")
 THREAD_SPAWN_EXEMPT = ("src/common/thread_pool.h", "src/common/thread_pool.cc")
 DETACH_RE = re.compile(r"\.\s*detach\s*\(")
+
+# The hardware thread count queries whose glibc answer is a sysfs read.
+HARDWARE_CONCURRENCY_RE = re.compile(
+    r"\bstd::thread::hardware_concurrency\b|\bget_nprocs(?:_conf)?\b")
+HARDWARE_CONCURRENCY_EXEMPT = ("src/common/thread_pool.cc",)
 
 
 def strip_comments_and_strings(line):
@@ -209,6 +220,21 @@ def check_detached_thread(path, text, ban_spawn):
                 "shutdown/drain contract; keep the handle and join it")
 
 
+def check_hardware_concurrency(path, text):
+    if path in HARDWARE_CONCURRENCY_EXEMPT:
+        return
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = strip_comments_and_strings(raw)
+        if line.lstrip().startswith("#"):
+            continue  # `#include <sys/sysinfo.h>` is not a call
+        if HARDWARE_CONCURRENCY_RE.search(line):
+            yield Finding(
+                "hardware-concurrency", path, lineno, raw,
+                "hardware thread count read outside common/thread_pool.cc "
+                "(glibc re-reads sysfs per call); use "
+                "ThreadPool::HardwareThreads(), read once per process")
+
+
 def expected_guard(rel_path):
     # src/graph/validate.h -> ORX_GRAPH_VALIDATE_H_
     inner = rel_path[len("src/"):] if rel_path.startswith("src/") else rel_path
@@ -324,6 +350,7 @@ def lint_tree(root):
         findings.extend(check_detached_thread(
             rel, text,
             ban_spawn=rel.startswith("src/") or rel.startswith("tools/")))
+        findings.extend(check_hardware_concurrency(rel, text))
         if rel.startswith("src/"):
             findings.extend(check_raw_mutex(rel, text))
             findings.extend(check_naked_new(rel, text))
@@ -379,6 +406,18 @@ def self_test():
         (lambda t: list(check_detached_thread("tests/x.cc", t, False)),
          "  worker.detach();\n",
          "  std::thread t([] {});\n  t.join();\n"),
+        (lambda t: list(check_hardware_concurrency("bench/x.cc", t)),
+         "  n = std::thread::hardware_concurrency();\n",
+         "  n = ThreadPool::HardwareThreads();\n"
+         "  // std::thread::hardware_concurrency in a comment\n"),
+        (lambda t: list(check_hardware_concurrency("tests/x.cc", t)),
+         "  int cpus = get_nprocs();\n",
+         "#include <sys/sysinfo.h>\n  s = \"get_nprocs\";\n"),
+        # The one sanctioned reader (None = no bad half).
+        (lambda t: list(check_hardware_concurrency(
+            "src/common/thread_pool.cc", t)),
+         None,
+         "  static const size_t count = std::thread::hardware_concurrency();\n"),
     ]
     failures = 0
     for i, (checker, bad, good) in enumerate(cases):
