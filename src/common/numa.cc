@@ -10,7 +10,6 @@
 #include <memory>
 #include <new>
 #include <sstream>
-#include <thread>
 
 #include "common/thread_pool.h"
 

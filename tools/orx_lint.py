@@ -224,10 +224,7 @@ def check_hardware_concurrency(path, text):
     if path in HARDWARE_CONCURRENCY_EXEMPT:
         return
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = strip_comments_and_strings(raw)
-        if line.lstrip().startswith("#"):
-            continue  # `#include <sys/sysinfo.h>` is not a call
-        if HARDWARE_CONCURRENCY_RE.search(line):
+        if HARDWARE_CONCURRENCY_RE.search(strip_comments_and_strings(raw)):
             yield Finding(
                 "hardware-concurrency", path, lineno, raw,
                 "hardware thread count read outside common/thread_pool.cc "
